@@ -9,6 +9,7 @@ FRAMESCALE_LOG=debug|info|... for verbosity.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import logging
 import os
@@ -196,40 +197,48 @@ def _cmd_bench(cfg: RunConfig) -> int:
         for rep in range(cfg.reps):
             seed = derive_seed(cfg.seed, 4, cell, rep)
             frame = perturb_frame(generate_enpf(d, n, seed), eps_target, seed)
-            report = repair(frame, cfg.delta, seed, max_iter=cfg.max_iter)
+            try:
+                report = repair(frame, cfg.delta, seed, max_iter=cfg.max_iter)
+                error = ""
+            except RuntimeError as exc:
+                # A cell that cannot be repaired (a ScalingConvergenceError
+                # included) becomes a failed row; the rest of the grid still runs.
+                log.warning("bench cell d=%d n=%d eps=%g seed=%d failed: %s",
+                            d, n, eps_target, seed, exc)
+                report, error = None, str(exc)
+            ok = report is not None
             rows.append(
                 {
                     "d": d,
                     "n": n,
                     "eps_target": eps_target,
-                    "eps": report.eps,
+                    "eps": report.eps if ok else None,
                     "delta": cfg.delta,
                     "seed": seed,
-                    "dist_sq": report.dist_sq_vw,
-                    "bound": report.bound,
-                    "ratio": report.dist_sq_vw / report.bound,
-                    "iterations": report.scaling.iterations,
-                    "certified": report.certified,
+                    "dist_sq": report.dist_sq_vw if ok else None,
+                    "bound": report.bound if ok else None,
+                    "ratio": report.dist_sq_vw / report.bound if ok else None,
+                    "iterations": report.scaling.iterations if ok else None,
+                    "certified": ok and report.certified,
+                    "error": error,
                 }
             )
-            failures += 0 if report.certified else 1
+            failures += 0 if rows[-1]["certified"] else 1
         cell += 1
     if cfg.format == "csv":
-        header = list(rows[0].keys())
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(
-                ",".join(
-                    format(v, ".17g") if isinstance(v, float) else str(v)
-                    for v in row.values()
+        # csv quotes the error messages, which may hold commas, and writes None as "".
+        with cfg.output.open("w", newline="") as handle:
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(rows[0].keys())
+            for row in rows:
+                writer.writerow(
+                    format(v, ".17g") if isinstance(v, float) else v for v in row.values()
                 )
-            )
-        cfg.output.write_text("\n".join(lines) + "\n")
     else:
         cfg.output.write_text(json.dumps(rows, indent=2) + "\n")
     log.info("bench wrote %d rows to %s (%d failures)", len(rows), cfg.output, failures)
     if failures:
-        _error("certification", f"{failures} of {len(rows)} bench cells failed certification")
+        _error("certification", f"{failures} of {len(rows)} bench rows failed or were not certified")
         return EXIT_CERTIFICATION
     return EXIT_OK
 

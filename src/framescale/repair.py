@@ -85,8 +85,9 @@ class PerturbationBudget:
         The terms cap, in order: the norm drift that keeps the perturbed
         frame 4 eps-nearly Parseval; the per-vector distance overhead
         gamma at (1 - sqrt(1 - eps)) eps d / n (taken twice, as the
-        conventional sqrt form and as the exact solve of
-        eta^2 + 2 eta <= gamma_max); and a floor keeping the perturbation
+        conventional sqrt form and as the root of eta^2 + 2 eta = gamma_max,
+        written gamma_max / (1 + sqrt(1 + gamma_max)) so that it does not
+        cancel for tiny gamma_max); and a floor keeping the perturbation
         well above machine noise handling yet far below all bounds.
         """
         if not 0.0 <= eps < 1.0:
@@ -95,7 +96,7 @@ class PerturbationBudget:
         eta = min(
             eps / (2.0 * n),
             math.sqrt(gamma_max) / 2.0,
-            math.sqrt(1.0 + gamma_max) - 1.0,
+            gamma_max / (1.0 + math.sqrt(1.0 + gamma_max)),
             1e-8 * math.sqrt(d / n),
         )
         return cls.from_eta_max(max(eta, 0.0), d, n)

@@ -13,6 +13,18 @@ are gauge-fixed to sum t_i = 0. The minimum exists exactly when c lies in
 the basis polytope of U; outside it the iterates escape to infinity along
 a blocking subset, which the solver diagnoses.
 
+Everything the solver needs comes from the whitened rows
+y_i = sqrt(c_i e^{t_i}) M(t)^{-1/2} u_i. Their Gram matrix G = Y Y^T is the
+orthogonal projector onto the row space of the weighted vectors; the
+gradient is g_i = ||y_i||^2 - c_i and the Hessian is diag(G) - G o G. The
+Hadamard square has rank at most r = d(d+1)/2: (G o G)_ij = K_i . K_j, where
+K_i is the upper triangle of y_i y_i^T with off-diagonal entries scaled by
+sqrt(2). The Newton system is therefore a diagonal matrix plus a term of
+rank r + 1 (the extra column pins the gauge direction 1), and for n > r + 1
+it is solved exactly through the Woodbury identity in O(n r^2 + r^3) time
+and O(n r) memory. Frames with n <= r + 1 are solved densely; both paths
+give the same Newton direction up to rounding.
+
 The solver is damped Newton with an Armijo backtracking line search and a
 gradient-descent fallback; convergence is declared only after the residual
 J = sum_i c_i w_i w_i^T - I of the renormalized scaled frame has been
@@ -125,17 +137,29 @@ def scaling_potential(frame: Frame, c, t) -> float:
     return float(logdet - ca @ ta)
 
 
+def _inverse_sqrt(M: np.ndarray) -> np.ndarray:
+    eigs, Q = np.linalg.eigh(M)
+    if eigs[0] <= 0 or not np.all(np.isfinite(eigs)):
+        raise np.linalg.LinAlgError("matrix not positive definite")
+    return (Q / np.sqrt(eigs)) @ Q.T
+
+
+def _whitened(vecs: np.ndarray, c: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Rows y_i = sqrt(c_i e^{t_i}) M(t)^{-1/2} u_i; raises LinAlgError if M is singular."""
+    A = _inverse_sqrt(_weighted_sum(vecs, c, t))
+    return (vecs @ A) * np.sqrt(c * np.exp(t))[:, None]
+
+
 def _gram(vecs: np.ndarray, c: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """G with G_ij = sqrt(c_i c_j) e^{(t_i+t_j)/2} u_i^T M^{-1} u_j.
+    """G = Y Y^T, so G_ij = sqrt(c_i c_j) e^{(t_i+t_j)/2} u_i^T M^{-1} u_j.
 
     G is the orthogonal projector onto the row space of the weighted
     vectors: diag(G) - c is the potential gradient and diag(diag G) - G*G
-    its Hessian.
+    its Hessian. This dense n x n form serves ``scaling_hessian`` only; the
+    solver works from the rows Y and the rank-r factor K of G*G.
     """
-    M = _weighted_sum(vecs, c, t)
-    Z = vecs * np.sqrt(c * np.exp(t))[:, None]
-    X = np.linalg.solve(M, Z.T)
-    return Z @ X
+    Y = _whitened(vecs, c, t)
+    return Y @ Y.T
 
 
 def scaling_gradient(frame: Frame, c, t) -> np.ndarray:
@@ -143,10 +167,10 @@ def scaling_gradient(frame: Frame, c, t) -> np.ndarray:
     ca = validate_coefficients(c, frame.d, frame.n)
     ta = _as_t(frame, t)
     try:
-        G = _gram(frame.vectors, ca, ta)
+        Y = _whitened(frame.vectors, ca, ta)
     except np.linalg.LinAlgError as exc:
         raise ValueError("weighted sum M(t) is singular") from exc
-    return np.diag(G) - ca
+    return (Y**2).sum(axis=1) - ca
 
 
 def scaling_hessian(frame: Frame, c, t) -> np.ndarray:
@@ -158,13 +182,6 @@ def scaling_hessian(frame: Frame, c, t) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise ValueError("weighted sum M(t) is singular") from exc
     return np.diag(np.diag(G)) - G * G
-
-
-def _inverse_sqrt(M: np.ndarray) -> np.ndarray:
-    eigs, Q = np.linalg.eigh(M)
-    if eigs[0] <= 0 or not np.all(np.isfinite(eigs)):
-        raise np.linalg.LinAlgError("matrix not positive definite")
-    return (Q / np.sqrt(eigs)) @ Q.T
 
 
 def isotropy_residual(frame: Frame, c, A) -> tuple[np.ndarray, float]:
@@ -193,6 +210,42 @@ def verify_radial_isotropic(frame: Frame, c, A, delta: float) -> tuple[np.ndarra
     return J, resid <= delta
 
 
+def _newton_direction(Y: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Solve (H + tau 11^T/n + 1e-14 I) p = -g for the Newton direction.
+
+    H = diag(q) - G o G with q_i = ||y_i||^2 and G = Y Y^T; tau = tr(H)/n
+    (at least 1e-14) pins the gauge direction 1 without disturbing g, whose
+    entries sum to zero. With G o G = K K^T the system matrix is
+    D + U S U^T for D = diag(q) + 1e-14 I, U = [K, 1/sqrt(n)] and
+    S = diag(-1, ..., -1, tau). When n > r + 1 it is solved through the
+    Woodbury identity with one (r+1) x (r+1) capacitance system, never
+    forming an n x n matrix; otherwise densely. Raises LinAlgError when the
+    system is singular.
+    """
+    n, d = Y.shape
+    q = (Y**2).sum(axis=1)
+    tau = max(float(q.sum() - q @ q) / n, 1e-14)
+    rows, cols = np.triu_indices(d)
+    r = rows.size
+    if n <= r + 1:
+        G = Y @ Y.T
+        reg = np.diag(q) - G * G + tau / n
+        reg.flat[:: n + 1] += 1e-14
+        return -np.linalg.solve(reg, g)
+    # V = D^{-1/2} U, so that D + U S U^T = D^{1/2} (I + V S V^T) D^{1/2}.
+    root = 1.0 / np.sqrt(q + 1e-14)
+    Yr = Y * np.sqrt(root)[:, None]
+    V = np.empty((n, r + 1))
+    np.multiply(Yr[:, rows], Yr[:, cols], out=V[:, :r])
+    V[:, :r] *= np.where(rows == cols, 1.0, np.sqrt(2.0))
+    V[:, r] = root / np.sqrt(n)
+    capacitance = V.T @ V
+    capacitance[np.arange(r), np.arange(r)] -= 1.0
+    capacitance[r, r] += 1.0 / tau
+    x = root * g
+    return -root * (x - V @ np.linalg.solve(capacitance, V.T @ x))
+
+
 def _diagnose_blocking(frame: Frame, c) -> tuple[int, ...] | None:
     if frame.n > MAX_POLYTOPE_N:
         return None
@@ -217,6 +270,13 @@ def solve_radial_isotropic(
     polytope module at enumerable sizes, or via general position plus
     n > d for uniform c). On failure raises ScalingConvergenceError with a
     divergence diagnosis.
+
+    Each iteration whitens the rows once (Y = images * sqrt(c e^t)), reads
+    the gradient off their squared norms and takes the Newton direction
+    from ``_newton_direction``: through Woodbury on the rank-r factor K of
+    G o G when n > d(d+1)/2 + 1, so time is O(n d^4 + d^6) and memory
+    O(n d^2), and by a dense n x n solve otherwise. A singular system or a
+    non-descent direction falls back to -g.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -229,7 +289,6 @@ def solve_radial_isotropic(
         t = _as_t(frame, t0).copy()
         t -= t.mean()
     escape = _DIVERGENCE_OFFSET + _DIVERGENCE_SLOPE * np.log(n * frame.d)
-    ones = np.ones((n, n)) / n
 
     def fail(reason: str, resid: float, iterations: int) -> ScalingConvergenceError:
         blocking = _diagnose_blocking(frame, ca)
@@ -279,15 +338,10 @@ def solve_radial_isotropic(
         if iterations >= max_iter:
             raise fail(f"no convergence within {max_iter} iterations", resid, iterations)
 
-        # Newton direction on the gauge-fixed subspace; the rank-one term
-        # pins the null direction 1 without disturbing g (g . 1 = 0).
-        Z = vecs * np.sqrt(ca * np.exp(t))[:, None]
-        G = Z @ np.linalg.solve(M, Z.T)
-        g = np.diag(G) - ca
-        H = np.diag(np.diag(G)) - G * G
-        reg = H + max(float(np.trace(H)) / n, 1e-14) * ones + 1e-14 * np.eye(n)
+        Y = images * np.sqrt(ca * np.exp(t))[:, None]
+        g = (Y**2).sum(axis=1) - ca
         try:
-            p = -np.linalg.solve(reg, g)
+            p = _newton_direction(Y, g)
         except np.linalg.LinAlgError:
             p = -g
         if g @ p >= 0:

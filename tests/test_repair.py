@@ -49,13 +49,19 @@ class TestPerturbationBudget:
         assert budget.gamma_prime == pytest.approx(3.0 * budget.gamma)
 
     def test_input_budget_respects_every_cap(self):
-        for eps in (1e-1, 1e-2, 1e-3, 1e-6):
-            for d, n in ((2, 5), (4, 10), (8, 32)):
-                budget = PerturbationBudget.for_input(eps, d, n)
-                gamma_max = (1 - math.sqrt(1 - eps)) * eps * d / n
-                assert budget.eta_max <= eps / (2 * n)
-                assert budget.gamma <= gamma_max * (1 + 1e-12)
-                assert budget.gamma_prime <= eps
+        cases = [
+            (eps, d, n)
+            for eps in (1e-1, 1e-2, 1e-3, 1e-6)
+            for d, n in ((2, 5), (4, 10), (8, 32))
+        ]
+        # At eps = 1e-7 the root sqrt(1 + gamma_max) - 1 cancels to 1.066 gamma_max.
+        cases.append((1e-7, 4, 12))
+        for eps, d, n in cases:
+            budget = PerturbationBudget.for_input(eps, d, n)
+            gamma_max = (1 - math.sqrt(1 - eps)) * eps * d / n
+            assert budget.eta_max <= eps / (2 * n)
+            assert budget.gamma <= gamma_max * (1 + 1e-12)
+            assert budget.gamma_prime <= eps
 
     def test_negative_eta_rejected(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from framescale import (
     verify_radial_isotropic,
 )
 
+from framescale.scaling import _newton_direction, _whitened
 from helpers import cofactor_det, fd_gradient, random_generic_frame
 
 IDENTITY2 = Frame(np.eye(2))
@@ -187,6 +190,39 @@ class TestSolve:
     def test_bad_delta_rejected(self):
         with pytest.raises(ValueError):
             solve_radial_isotropic(IDENTITY2, np.ones(2), 0.0)
+
+
+class TestNewtonDirection:
+    # (3, 40) has n > d(d+1)/2 + 1 and takes the low-rank path; (6, 12) is dense.
+    @pytest.mark.parametrize("d, n", [(3, 40), (6, 12)])
+    @pytest.mark.parametrize("spread", [0.0, 1.5])
+    def test_matches_dense_hessian_solve(self, d, n, spread):
+        rng = np.random.default_rng(15)
+        frame = random_generic_frame(rng, d, n)
+        c = uniform_coefficients(d, n)
+        t = rng.standard_normal(n) * spread
+        g = scaling_gradient(frame, c, t)
+        H = scaling_hessian(frame, c, t)
+        tau = max(np.trace(H) / n, 1e-14)
+        reg = H + tau * np.ones((n, n)) / n + 1e-14 * np.eye(n)
+        expected = -np.linalg.solve(reg, g)
+        p = _newton_direction(_whitened(frame.vectors, c, t), g)
+        assert np.linalg.norm(p - expected) <= 1e-9 * np.linalg.norm(expected)
+
+    def test_large_frame_solved_in_small_memory(self):
+        d, n = 16, 4096
+        frame = perturb_frame(generate_enpf(d, n, seed=0), 1e-2, seed=0)
+        c = uniform_coefficients(d, n)
+        tracemalloc.start()
+        try:
+            sol = solve_radial_isotropic(frame, c, 1e-9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sol.converged
+        assert peak < 64 * 2**20
+        _, resid = isotropy_residual(frame, c, sol.A)
+        assert resid <= 1e-9
 
 
 class TestVerify:
