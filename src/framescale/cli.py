@@ -15,6 +15,7 @@ import logging
 import os
 import re
 import sys
+import time
 from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
@@ -197,6 +198,7 @@ def _cmd_bench(cfg: RunConfig) -> int:
         for rep in range(cfg.reps):
             seed = derive_seed(cfg.seed, 4, cell, rep)
             frame = perturb_frame(generate_enpf(d, n, seed), eps_target, seed)
+            start = time.perf_counter()
             try:
                 report = repair(frame, cfg.delta, seed, max_iter=cfg.max_iter)
                 error = ""
@@ -206,6 +208,7 @@ def _cmd_bench(cfg: RunConfig) -> int:
                 log.warning("bench cell d=%d n=%d eps=%g seed=%d failed: %s",
                             d, n, eps_target, seed, exc)
                 report, error = None, str(exc)
+            repair_s = time.perf_counter() - start
             ok = report is not None
             rows.append(
                 {
@@ -219,6 +222,7 @@ def _cmd_bench(cfg: RunConfig) -> int:
                     "bound": report.bound if ok else None,
                     "ratio": report.dist_sq_vw / report.bound if ok else None,
                     "iterations": report.scaling.iterations if ok else None,
+                    "repair_s": repair_s,
                     "certified": ok and report.certified,
                     "error": error,
                 }

@@ -1,12 +1,14 @@
 """End-to-end repair of a nearly equal norm Parseval frame.
 
 Given an input frame V whose measured nearness eps is below 1/2, the
-pipeline (1) rescales every vector to squared norm d/n, (2) applies a
-perturbation small enough to be negligible against all certified bounds
-but generic enough to put the vectors in general position, (3) computes
-the radial isotropic scaling A for uniform coefficients d/n, and
-(4) outputs W with w_i = sqrt(d/n) A u_i / ||A u_i||, an equal norm
-Parseval frame up to the solver residual. The report certifies
+pipeline (1) rescales every vector to squared norm d/n, (2) when the
+d-subsets are few enough to check them all, perturbs the frame within a
+budget negligible against all certified bounds until every d-subset is
+independent; past that cap the renormalized frame goes on unperturbed,
+(3) computes the radial isotropic scaling A for uniform coefficients d/n,
+which exists exactly when d/n lies in the basis polytope, and (4) outputs
+W with w_i = sqrt(d/n) A u_i / ||A u_i||, an equal norm Parseval frame up
+to the solver residual. The report certifies
 
     dist^2(V, W) <= 20 eps d^2
 
@@ -24,7 +26,7 @@ import numpy as np
 
 from .frames import Frame, dist_sq, frame_metrics, renormalize
 from .majorization import MAJORIZATION_TOL, majorizes, transport_distance
-from .polytope import SUBSET_CAP, all_d_subsets_independent, uniform_coefficients
+from .polytope import all_d_subsets_independent, uniform_coefficients
 from .scaling import (
     STATIONARITY_FACTOR,
     DEFAULT_MAX_ITER,
@@ -45,11 +47,11 @@ EPS_INPUT_MAX = 0.5
 # Solver target below which float64 cannot reliably evaluate the residual.
 DELTA_SOLVER_FLOOR = 1e-13
 
-# General-position certification: exhaustive when the subset count is
-# affordable, a randomized screen above that (the a-posteriori report
-# certification never relies on it).
+# Up to this many d-subsets, every one is checked for independence before
+# solving. Past it the frame goes to the solver unperturbed: the solver's
+# residual and the a-posteriori certificate decide, and a frame whose d/n
+# lies outside the basis polytope raises ScalingConvergenceError.
 FULL_CHECK_CAP = 200_000
-SCREEN_SAMPLES = 2000
 
 _RETRY_CAP = 50
 
@@ -84,15 +86,17 @@ class PerturbationBudget:
 
         The terms cap, in order: the norm drift that keeps the perturbed
         frame 4 eps-nearly Parseval; the per-vector distance overhead
-        gamma at (1 - sqrt(1 - eps)) eps d / n (taken twice, as the
-        conventional sqrt form and as the root of eta^2 + 2 eta = gamma_max,
-        written gamma_max / (1 + sqrt(1 + gamma_max)) so that it does not
-        cancel for tiny gamma_max); and a floor keeping the perturbation
-        well above machine noise handling yet far below all bounds.
+        gamma at gamma_max = (1 - sqrt(1 - eps)) eps d / n, computed as
+        eps / (1 + sqrt(1 - eps)) eps d / n so that it does not cancel for
+        small eps (taken twice, as the conventional sqrt form and as the
+        root of eta^2 + 2 eta = gamma_max, written
+        gamma_max / (1 + sqrt(1 + gamma_max)) for the same reason); and a
+        floor keeping the perturbation well above machine noise handling yet
+        far below all bounds.
         """
         if not 0.0 <= eps < 1.0:
             raise ValueError("eps must lie in [0, 1)")
-        gamma_max = (1.0 - math.sqrt(1.0 - eps)) * eps * d / n
+        gamma_max = eps / (1.0 + math.sqrt(1.0 - eps)) * eps * d / n
         eta = min(
             eps / (2.0 * n),
             math.sqrt(gamma_max) / 2.0,
@@ -165,33 +169,19 @@ class RepairReport:
         return self.input_frame.n
 
 
-def _general_position(frame: Frame, seed: int, attempt: int) -> bool:
-    """Certify (or screen) that every d-subset is independent.
-
-    Exhaustive below FULL_CHECK_CAP subsets; above it, a seeded random
-    sample of d-subsets is tested instead. The screen is a filter, not a
-    proof: downstream certification re-verifies everything it claims.
-    """
-    d, n = frame.d, frame.n
-    if math.comb(n, d) <= min(FULL_CHECK_CAP, SUBSET_CAP):
-        return all_d_subsets_independent(frame)
-    rng = spawn_rng(seed, 2, attempt)
-    vecs = frame.vectors
-    subsets = np.stack([rng.choice(n, size=d, replace=False) for _ in range(SCREEN_SAMPLES)])
-    sigma = np.linalg.svd(vecs[subsets], compute_uv=False)
-    return bool(np.all(sigma[:, -1] > 1e-9 * sigma[:, 0]))
-
-
 def perturb_to_general_position(frame: Frame, budget: PerturbationBudget, seed: int) -> Frame:
     """Add a perturbation within budget until the frame is in general position.
 
-    The unperturbed frame is accepted when it already passes (generic
-    inputs need no noise at all). Each retry draws fresh directions with
-    every row scaled to exactly eta_max, so dist^2 to the input is at most
-    n eta_max^2.
+    A frame with more than FULL_CHECK_CAP d-subsets is returned unchanged
+    and unchecked. Otherwise the unperturbed frame is accepted when every
+    d-subset is already independent (generic inputs need no noise at all).
+    Each retry draws fresh directions with every row scaled to exactly
+    eta_max, so dist^2 to the input is at most n eta_max^2.
     """
     if frame.n < frame.d:
         raise ValueError("general position requires n >= d")
+    if math.comb(frame.n, frame.d) > FULL_CHECK_CAP:
+        return frame
     for attempt in range(_RETRY_CAP + 1):
         if attempt == 0:
             candidate = frame
@@ -202,7 +192,7 @@ def perturb_to_general_position(frame: Frame, budget: PerturbationBudget, seed: 
             eta = rng.standard_normal(frame.vectors.shape)
             eta *= budget.eta_max / np.sqrt((eta**2).sum(axis=1))[:, None]
             candidate = Frame(frame.vectors + eta)
-        if _general_position(candidate, seed, attempt):
+        if all_d_subsets_independent(candidate):
             return candidate
     raise RuntimeError(
         f"no general-position frame within {_RETRY_CAP} retries at "

@@ -266,10 +266,12 @@ def solve_radial_isotropic(
     """Find A with sum_i c_i (A u_i/||A u_i||)(A u_i/||A u_i||)^T = I + J,
     ||J||_inf <= delta.
 
-    Requires c in the basis polytope of the frame (callers certify via the
-    polytope module at enumerable sizes, or via general position plus
-    n > d for uniform c). On failure raises ScalingConvergenceError with a
-    divergence diagnosis.
+    Requires c in the basis polytope of the frame. Callers may certify that
+    beforehand with the polytope module at enumerable sizes. ``repair``
+    does not: past its exhaustive cap it passes the renormalized frame
+    here unperturbed, and the residual re-measured here and its
+    a-posteriori certificate decide. On failure raises
+    ScalingConvergenceError with a divergence diagnosis.
 
     Each iteration whitens the rows once (Y = images * sqrt(c e^t)), reads
     the gradient off their squared norms and takes the Newton direction

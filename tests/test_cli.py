@@ -94,6 +94,7 @@ def test_bench_writes_a_row_per_cell(tmp_path, capsys, fmt):
                  "--eps", "1e-2,1e-7", "--reps", "3", "--format", fmt])
     rows = read_bench(out, fmt)
     assert len(rows) == 6
+    assert all(float(row["repair_s"]) > 0 for row in rows)
     assert all(row["certified"] for row in rows[:3])
     assert all(row["certified"] or row["error"] for row in rows)
     assert code == (EXIT_OK if all(row["certified"] for row in rows) else EXIT_CERTIFICATION)
@@ -114,4 +115,5 @@ def test_bench_records_non_convergence_and_continues(tmp_path, monkeypatch):
     rows = read_bench(out, "csv")
     assert [row["d"] for row in rows] == ["2", "3"]
     assert all(row["error"] == "no convergence; blocking subset [0, 1]" for row in rows)
+    assert all(float(row["repair_s"]) >= 0 for row in rows)
     assert not any(row["certified"] for row in rows)

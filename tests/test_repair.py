@@ -10,6 +10,7 @@ from framescale import (
     DiagonalScaling,
     Frame,
     PerturbationBudget,
+    ScalingConvergenceError,
     audit_lemma_chain,
     dist_sq,
     frame_metrics,
@@ -30,6 +31,13 @@ from helpers import mercedes_frame
 
 def perturbed_instance(d, n, eps_target, seed):
     return perturb_frame(generate_enpf(d, n, seed), eps_target, seed)
+
+
+def duplicated_instance(d, n, copies, seed):
+    """A perturbed ENPF whose vectors 1..copies are copies of vector 0."""
+    vectors = perturbed_instance(d, n, 1e-2, seed).vectors.copy()
+    vectors[1 : copies + 1] = vectors[0]
+    return Frame(vectors)
 
 
 def test_public_api_exports_pipeline():
@@ -54,11 +62,12 @@ class TestPerturbationBudget:
             for eps in (1e-1, 1e-2, 1e-3, 1e-6)
             for d, n in ((2, 5), (4, 10), (8, 32))
         ]
-        # At eps = 1e-7 the root sqrt(1 + gamma_max) - 1 cancels to 1.066 gamma_max.
-        cases.append((1e-7, 4, 12))
+        # At eps = 1e-7 the root sqrt(1 + gamma_max) - 1 cancels to 1.066 gamma_max;
+        # at 1e-10 and 1e-12, 1 - sqrt(1 - eps) cancels to 8.3e-8 and 8.9e-5 high.
+        cases += [(1e-7, 4, 12), (1e-10, 4, 12), (1e-12, 4, 12)]
         for eps, d, n in cases:
             budget = PerturbationBudget.for_input(eps, d, n)
-            gamma_max = (1 - math.sqrt(1 - eps)) * eps * d / n
+            gamma_max = eps / (1 + math.sqrt(1 - eps)) * eps * d / n
             assert budget.eta_max <= eps / (2 * n)
             assert budget.gamma <= gamma_max * (1 + 1e-12)
             assert budget.gamma_prime <= eps
@@ -88,6 +97,16 @@ class TestPerturbToGeneralPosition:
         base = renormalize(Frame(np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])), 2 / 3)
         with pytest.raises(RuntimeError):
             perturb_to_general_position(base, PerturbationBudget.from_eta_max(0.0, 2, 3), seed=0)
+
+    def test_past_cap_returned_unchecked(self, monkeypatch):
+        def unaffordable(frame):
+            raise AssertionError("d-subsets checked past FULL_CHECK_CAP")
+
+        monkeypatch.setattr(importlib.import_module("framescale.repair"),
+                            "all_d_subsets_independent", unaffordable)
+        frame = renormalize(duplicated_instance(10, 40, 2, seed=0), 10 / 40)
+        out = perturb_to_general_position(frame, PerturbationBudget.from_eta_max(0.0, 10, 40), 0)
+        assert out is frame
 
     def test_distance_within_budget(self):
         rng = np.random.default_rng(2)
@@ -148,6 +167,25 @@ class TestRepair:
         frame = perturbed_instance(3, 7, 1e-2, seed=3)
         report = repair(frame, 1e-9, seed=3)
         assert report.bound == pytest.approx(20 * frame_metrics(frame).eps * 9)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_duplicated_vectors_past_cap_certify(self, seed):
+        frame = duplicated_instance(10, 40, 2, seed)
+        report = repair(frame, 1e-9, seed=seed)
+        assert report.eps > 0.3
+        assert report.certified
+        assert audit_lemma_chain(report).passed
+        assert np.array_equal(
+            report.perturbed_frame.vectors, renormalize(frame, 10 / 40).vectors
+        )
+
+    def test_outside_basis_polytope_past_cap_raises_typed_error(self):
+        # 318 of 634 vectors on one axis: the line holds more than n/d = 317.
+        n = 634
+        vectors = np.zeros((n, 2))
+        vectors[:318, 0] = vectors[318:, 1] = math.sqrt(2 / n)
+        with pytest.raises(ScalingConvergenceError, match="basis polytope"):
+            repair(Frame(vectors), 1e-9, seed=0)
 
     def test_rejects_square_frames(self):
         with pytest.raises(ValueError):
