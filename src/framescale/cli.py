@@ -68,7 +68,7 @@ class RunConfig:
 
 
 def _emit(payload: dict, output: Path | None) -> None:
-    text = json.dumps(payload, indent=2) + "\n"
+    text = json.dumps(payload) + "\n"
     if output is None:
         sys.stdout.write(text)
     else:

@@ -11,6 +11,10 @@ line; when x majorizes y it equals the prefix-sum Wasserstein distance
 W(x, y) = sum_j |prefix_x(j) - prefix_y(j)|, and it bounds the l1 gap via
 ||x - y||_1 <= 2 T(x, y) (one unit of mass moved one index fixes two
 coordinate differences, so the factor 2 is tight, e.g. x=(1,0), y=(0,1)).
+
+``majorization_rows`` evaluates both the majorization test and T on
+paired rows of (..., d) arrays, along the last axis; the 1-D
+``majorizes`` and ``transport_distance`` call it on a single row.
 """
 
 from __future__ import annotations
@@ -32,18 +36,37 @@ def _pair(x, y) -> tuple[np.ndarray, np.ndarray]:
     return xa, ya
 
 
+def majorization_rows(
+    x, y, tol: float = MAJORIZATION_TOL, *, prefix_x=None, prefix_y=None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise majorization flags and transport distances of paired rows.
+
+    ``x`` and ``y`` have equal shape (..., d); every quantity is taken
+    along the last axis. Row r of x majorizes row r of y when its prefix
+    sums dominate and the totals agree, both with the slack
+    ``tol * (1 + ||x_r||_1)``; the transport of row r is
+    T(x_r, y_r) = sum_j j (y_rj - x_rj). ``prefix_x`` / ``prefix_y`` may
+    pass cumulative sums of x / y along the last axis already computed.
+    Returns the boolean flags and the transports, each of shape (...).
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    px = np.cumsum(x, axis=-1) if prefix_x is None else prefix_x
+    py = np.cumsum(y, axis=-1) if prefix_y is None else prefix_y
+    slack = tol * (1.0 + np.abs(x).sum(axis=-1))
+    totals_agree = np.abs(px[..., -1] - py[..., -1]) <= slack
+    flags = totals_agree & np.all(px >= py - slack[..., None], axis=-1)
+    j = np.arange(1, x.shape[-1] + 1, dtype=float)
+    return flags, (j * (y - x)).sum(axis=-1)
+
+
 def majorizes(x, y, tol: float = MAJORIZATION_TOL) -> bool:
     """True iff x majorizes y: prefix sums dominate and totals agree.
 
     Both checks use the slack ``tol * (1 + ||x||_1)``.
     """
-    xa, ya = _pair(x, y)
-    slack = tol * (1.0 + float(np.abs(xa).sum()))
-    px = np.cumsum(xa)
-    py = np.cumsum(ya)
-    if abs(px[-1] - py[-1]) > slack:
-        return False
-    return bool(np.all(px >= py - slack))
+    flag, _ = majorization_rows(*_pair(x, y), tol)
+    return bool(flag)
 
 
 def transport_distance(x, y) -> float:
@@ -52,9 +75,8 @@ def transport_distance(x, y) -> float:
     The formula is total; callers relying on its transport interpretation
     must ensure x majorizes y themselves.
     """
-    xa, ya = _pair(x, y)
-    j = np.arange(1, xa.size + 1, dtype=float)
-    return float((j * (ya - xa)).sum())
+    _, transport = majorization_rows(*_pair(x, y))
+    return float(transport)
 
 
 def wasserstein_prefix(x, y) -> float:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .frames import Frame, dist_sq, frame_metrics, renormalize
-from .majorization import MAJORIZATION_TOL, majorizes, transport_distance
+from .majorization import MAJORIZATION_TOL, majorization_rows, transport_distance
 from .polytope import all_d_subsets_independent, uniform_coefficients
 from .scaling import (
     STATIONARITY_FACTOR,
@@ -354,9 +354,13 @@ def audit_lemma_chain(report: RepairReport) -> AuditRecord:
           dist^2(U, W) <= 8 eps d^2 + 4 gamma' d^2, and the certified
           dist^2(V, W) <= 20 eps d^2.
 
+    The per-vector statements (a) and (b) are evaluated row-wise over all
+    n vectors at once by ``majorization_rows``, with the same per-vector
+    slack and transport as ``majorizes`` and ``transport_distance``.
+
     Failures are recorded in the returned checks, never raised.
     """
-    d, n = report.d, report.n
+    d = report.d
     eps = report.eps
     gp = report.gamma_prime_effective
     diag, rotated_u = diagonalize_transform(report.scaling.A, report.perturbed_frame)
@@ -375,7 +379,8 @@ def audit_lemma_chain(report: RepairReport) -> AuditRecord:
     worst_prefix = float((prefix_x - prefix_y).max())
     total_gap = float(np.abs(prefix_x[:, -1] - prefix_y[:, -1]).max())
     prefix_tol = MAJORIZATION_TOL * mass
-    all_major = all(majorizes(y[i], x[i]) for i in range(n))
+    row_major, row_transport = majorization_rows(y, x, prefix_x=prefix_y, prefix_y=prefix_x)
+    all_major = bool(row_major.all())
     checks.append(
         AuditCheck(
             name="scaled_squares_majorize",
@@ -390,7 +395,7 @@ def audit_lemma_chain(report: RepairReport) -> AuditRecord:
     # (b) squared distance -> l1 -> transport chain
     dist_u_wt = dist_sq(rotated_u, wtilde)
     l1_total = float(np.abs(x - y).sum())
-    transport_each = float(sum(transport_distance(y[i], x[i]) for i in range(n)))
+    transport_each = float(row_transport.sum())
     atol = _AUDIT_ATOL * mass
     slack_b1 = l1_total - dist_u_wt
     slack_b2 = 2.0 * transport_each - l1_total

@@ -63,13 +63,15 @@ class ScalingSolution:
     """Transformation placing a frame in radial isotropic position.
 
     ``residual`` is J = sum_i c_i w_i w_i^T - I for the renormalized
-    vectors w_i = A u_i / ||A u_i||, recomputed at the returned iterate;
-    ``residual_inf`` is its largest entry in absolute value.
+    vectors w_i = A u_i / ||A u_i||, recomputed at the returned iterate,
+    or ``None`` on a solution read back from a report, which does not
+    store J (``reverify`` recomputes it); ``residual_inf`` is the largest
+    entry of J in absolute value.
     """
 
     t: np.ndarray
     A: np.ndarray
-    residual: np.ndarray
+    residual: np.ndarray | None
     residual_inf: float
     iterations: int
     converged: bool

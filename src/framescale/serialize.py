@@ -4,6 +4,12 @@ Frames carry an explicit (d, n) header in both formats and preserve vector
 order. Floats are written so that reading them back reproduces the exact
 double (JSON uses Python's shortest round-trip representation, CSV prints
 17 significant digits); round-trips are bit-faithful.
+
+JSON is written compact, on one line with a final newline: without an
+indent, ``json.dumps`` runs its C encoder. Whitespace is not part of the
+``framescale/1`` schema, so files written indented still load, and
+frames stay nested float lists. A report stores no isotropy residual; it
+reads back as ``None``, and ``reverify`` recomputes it from the frames.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ def frame_from_dict(data: dict) -> Frame:
 
 
 def write_frame_json(path: str | Path, frame: Frame) -> None:
-    Path(path).write_text(json.dumps(frame_to_dict(frame), indent=2) + "\n")
+    Path(path).write_text(json.dumps(frame_to_dict(frame)) + "\n")
 
 
 def read_frame_json(path: str | Path) -> Frame:
@@ -110,7 +116,7 @@ def _scaling_from_dict(data: dict) -> ScalingSolution:
     return ScalingSolution(
         t=np.array(data["t"], dtype=float),
         A=A,
-        residual=np.zeros((d, d)),
+        residual=None,
         residual_inf=float(data["residual_inf"]),
         iterations=int(data["iterations"]),
         converged=bool(data["converged"]),
@@ -204,7 +210,7 @@ def report_from_dict(data: dict) -> RepairReport:
 
 
 def write_report(path: str | Path, report: RepairReport, audit: AuditRecord | None = None) -> None:
-    Path(path).write_text(json.dumps(report_to_dict(report, audit), indent=2) + "\n")
+    Path(path).write_text(json.dumps(report_to_dict(report, audit)) + "\n")
 
 
 def read_report(path: str | Path) -> RepairReport:

@@ -6,7 +6,17 @@ from itertools import combinations
 
 import numpy as np
 
-from framescale import Frame, scaling_potential
+from framescale import (
+    Frame,
+    diagonalize_transform,
+    dist_sq,
+    majorizes,
+    rescale_preserving_norms,
+    scaling_potential,
+    transport_distance,
+)
+from framescale.majorization import MAJORIZATION_TOL
+from framescale.repair import _AUDIT_ATOL
 
 
 def cofactor_det(M: np.ndarray) -> float:
@@ -93,3 +103,42 @@ def mercedes_frame() -> Frame:
     k = np.arange(3)
     ang = 2.0 * np.pi * k / 3.0
     return Frame(np.sqrt(2.0 / 3.0) * np.stack([np.cos(ang), np.sin(ang)]).T)
+
+
+def audit_per_vector_oracle(report) -> dict[str, tuple[bool, float, float]]:
+    """Checks (a) and (b) of ``audit_lemma_chain`` with one call per vector.
+
+    The audit's former loops over ``majorizes`` and ``transport_distance``,
+    kept as the reference for its row-wise evaluation. Returns
+    ``{name: (passed, lhs, rhs)}`` for both checks.
+    """
+    n = report.n
+    diag, rotated_u = diagonalize_transform(report.scaling.A, report.perturbed_frame)
+    wtilde = rescale_preserving_norms(rotated_u, diag)
+    x = rotated_u.vectors**2
+    y = wtilde.vectors**2
+    prefix_x = np.cumsum(x, axis=1)
+    prefix_y = np.cumsum(y, axis=1)
+    mass = 1.0 + float(np.abs(x).sum())
+
+    worst_prefix = float((prefix_x - prefix_y).max())
+    total_gap = float(np.abs(prefix_x[:, -1] - prefix_y[:, -1]).max())
+    prefix_tol = MAJORIZATION_TOL * mass
+    all_major = all(majorizes(y[i], x[i]) for i in range(n))
+
+    dist_u_wt = dist_sq(rotated_u, wtilde)
+    l1_total = float(np.abs(x - y).sum())
+    transport_each = float(sum(transport_distance(y[i], x[i]) for i in range(n)))
+    atol = _AUDIT_ATOL * mass
+    return {
+        "scaled_squares_majorize": (
+            bool(all_major and total_gap <= prefix_tol),
+            worst_prefix,
+            prefix_tol,
+        ),
+        "distance_l1_transport_chain": (
+            bool(l1_total - dist_u_wt >= -atol and 2.0 * transport_each - l1_total >= -atol),
+            dist_u_wt,
+            2.0 * transport_each,
+        ),
+    }

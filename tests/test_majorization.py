@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from framescale import majorizes, transport_distance, wasserstein_prefix
+from framescale.majorization import majorization_rows
 
 from helpers import random_majorizing_pair
 
@@ -138,8 +139,28 @@ class TestScaledSquareMajorization:
             x, y = self.scaled_pair(rng, int(rng.integers(1, 11)))
             assert majorizes(y, x)
 
-    def test_unsorted_scaling_can_break_it(self):
+    @staticmethod
+    def unsorted_pair() -> tuple[np.ndarray, np.ndarray]:
         u = np.array([1.0, 1.0])
         lam = np.array([1.0, 2.0])  # increasing, not sorted down
         image = np.linalg.norm(u) * (lam * u) / np.linalg.norm(lam * u)
-        assert not majorizes(image**2, u**2)
+        return u**2, image**2
+
+    def test_unsorted_scaling_can_break_it(self):
+        x, y = self.unsorted_pair()
+        assert not majorizes(y, x)
+
+    def test_rows_flag_the_one_failing_pair(self):
+        rng = np.random.default_rng(5)
+        pairs = [self.scaled_pair(rng, 2) for _ in range(999)]
+        bad = 417
+        pairs.insert(bad, self.unsorted_pair())
+        x = np.array([p[0] for p in pairs])
+        y = np.array([p[1] for p in pairs])
+        flags, transport = majorization_rows(y, x)
+        assert not flags.all()
+        np.testing.assert_array_equal(np.flatnonzero(~flags), [bad])
+        np.testing.assert_array_equal(flags, [majorizes(y[i], x[i]) for i in range(1000)])
+        np.testing.assert_array_equal(
+            transport, [transport_distance(y[i], x[i]) for i in range(1000)]
+        )

@@ -26,7 +26,7 @@ from framescale import (
 )
 from framescale.serialize import read_report, write_report
 
-from helpers import mercedes_frame
+from helpers import audit_per_vector_oracle, mercedes_frame
 
 
 def perturbed_instance(d, n, eps_target, seed):
@@ -261,17 +261,30 @@ class TestAuditChain:
         for check in audit.checks:
             assert check.passed, check
 
-    def test_batch_of_certified_reports(self):
+    @staticmethod
+    def batch_of_reports():
         rng = np.random.default_rng(9)
         for trial in range(20):
             d = int(rng.integers(2, 7))
             n = int(rng.integers(d + 1, 4 * d + 1))
             eps = float(rng.choice([1e-1, 1e-2, 1e-3]))
             frame = perturbed_instance(d, n, eps, seed=trial)
-            report = repair(frame, 1e-9, seed=trial)
+            yield (d, n, eps), repair(frame, 1e-9, seed=trial)
+
+    def test_batch_of_certified_reports(self):
+        for case, report in self.batch_of_reports():
             assert report.certified
             audit = audit_lemma_chain(report)
-            assert audit.passed, (d, n, eps, [c for c in audit.checks if not c.passed])
+            assert audit.passed, (case, [c for c in audit.checks if not c.passed])
+
+    def test_row_wise_checks_match_per_vector_oracle(self):
+        for case, report in self.batch_of_reports():
+            audit = audit_lemma_chain(report)
+            for name, (passed, lhs, rhs) in audit_per_vector_oracle(report).items():
+                check = audit.check(name)
+                assert check.passed == passed, (case, name)
+                assert math.isclose(check.lhs, lhs, rel_tol=1e-12), (case, name)
+                assert math.isclose(check.rhs, rhs, rel_tol=1e-12), (case, name)
 
     def test_lemma_bound_recorded(self):
         report = repair(perturbed_instance(3, 8, 1e-2, seed=10), 1e-9, seed=10)
