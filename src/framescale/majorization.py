@@ -36,23 +36,19 @@ def _pair(x, y) -> tuple[np.ndarray, np.ndarray]:
     return xa, ya
 
 
-def majorization_rows(
-    x, y, tol: float = MAJORIZATION_TOL, *, prefix_x=None, prefix_y=None
-) -> tuple[np.ndarray, np.ndarray]:
+def majorization_rows(x, y, tol: float = MAJORIZATION_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise majorization flags and transport distances of paired rows.
 
     ``x`` and ``y`` have equal shape (..., d); every quantity is taken
     along the last axis. Row r of x majorizes row r of y when its prefix
     sums dominate and the totals agree, both with the slack
     ``tol * (1 + ||x_r||_1)``; the transport of row r is
-    T(x_r, y_r) = sum_j j (y_rj - x_rj). ``prefix_x`` / ``prefix_y`` may
-    pass cumulative sums of x / y along the last axis already computed.
-    Returns the boolean flags and the transports, each of shape (...).
+    T(x_r, y_r) = sum_j j (y_rj - x_rj). Returns the boolean flags and the transports, each of shape (...).
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    px = np.cumsum(x, axis=-1) if prefix_x is None else prefix_x
-    py = np.cumsum(y, axis=-1) if prefix_y is None else prefix_y
+    px = np.cumsum(x, axis=-1)
+    py = np.cumsum(y, axis=-1)
     slack = tol * (1.0 + np.abs(x).sum(axis=-1))
     totals_agree = np.abs(px[..., -1] - py[..., -1]) <= slack
     flags = totals_agree & np.all(px >= py - slack[..., None], axis=-1)

@@ -379,7 +379,7 @@ def audit_lemma_chain(report: RepairReport) -> AuditRecord:
     worst_prefix = float((prefix_x - prefix_y).max())
     total_gap = float(np.abs(prefix_x[:, -1] - prefix_y[:, -1]).max())
     prefix_tol = MAJORIZATION_TOL * mass
-    row_major, row_transport = majorization_rows(y, x, prefix_x=prefix_y, prefix_y=prefix_x)
+    row_major, row_transport = majorization_rows(y, x)
     all_major = bool(row_major.all())
     checks.append(
         AuditCheck(

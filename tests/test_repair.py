@@ -261,30 +261,23 @@ class TestAuditChain:
         for check in audit.checks:
             assert check.passed, check
 
-    @staticmethod
-    def batch_of_reports():
+    def test_batch_of_certified_reports(self):
         rng = np.random.default_rng(9)
         for trial in range(20):
             d = int(rng.integers(2, 7))
             n = int(rng.integers(d + 1, 4 * d + 1))
             eps = float(rng.choice([1e-1, 1e-2, 1e-3]))
             frame = perturbed_instance(d, n, eps, seed=trial)
-            yield (d, n, eps), repair(frame, 1e-9, seed=trial)
-
-    def test_batch_of_certified_reports(self):
-        for case, report in self.batch_of_reports():
+            report = repair(frame, 1e-9, seed=trial)
             assert report.certified
             audit = audit_lemma_chain(report)
-            assert audit.passed, (case, [c for c in audit.checks if not c.passed])
-
-    def test_row_wise_checks_match_per_vector_oracle(self):
-        for case, report in self.batch_of_reports():
-            audit = audit_lemma_chain(report)
+            assert audit.passed, (d, n, eps, [c for c in audit.checks if not c.passed])
+            # checks (a) and (b), row-wise, against the per-vector loops
             for name, (passed, lhs, rhs) in audit_per_vector_oracle(report).items():
                 check = audit.check(name)
-                assert check.passed == passed, (case, name)
-                assert math.isclose(check.lhs, lhs, rel_tol=1e-12), (case, name)
-                assert math.isclose(check.rhs, rhs, rel_tol=1e-12), (case, name)
+                assert check.passed == passed, (d, n, eps, name)
+                assert math.isclose(check.lhs, lhs, rel_tol=1e-12), (d, n, eps, name)
+                assert math.isclose(check.rhs, rhs, rel_tol=1e-12), (d, n, eps, name)
 
     def test_lemma_bound_recorded(self):
         report = repair(perturbed_instance(3, 8, 1e-2, seed=10), 1e-9, seed=10)
@@ -319,6 +312,7 @@ class TestReverify:
         path = tmp_path / "report.json"
         write_report(path, report)
         loaded = read_report(path)
+        assert loaded.scaling.residual is None
         in_memory = reverify(report)
         rebuilt = reverify(loaded)
         assert in_memory.certified

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from framescale import Frame, audit_lemma_chain, generate_enpf, perturb_frame, repair, reverify
+from framescale import Frame, audit_lemma_chain, generate_enpf, perturb_frame, repair
 from framescale.serialize import (
     read_frame,
     read_report,
@@ -55,17 +55,6 @@ def test_report_round_trip_is_bit_exact(tmp_path, repaired):
             if isinstance(value, (bool, int, float)):
                 assert type(getattr(stored, f.name)) is type(value), f.name
                 assert_bit_equal(getattr(stored, f.name), value)
-
-
-def test_residual_is_not_stored_and_reverify_recomputes_it(tmp_path, repaired):
-    report, _ = repaired
-    path = tmp_path / "report.json"
-    write_report(path, report)
-    loaded = read_report(path)
-    assert loaded.scaling.residual is None
-    J = reverify(loaded).scaling.residual
-    np.testing.assert_array_equal(J, reverify(report).scaling.residual)
-    np.testing.assert_allclose(J, report.scaling.residual, rtol=0.0, atol=1e-14)
 
 
 def test_indented_report_reads_back_identical(tmp_path, repaired):
