@@ -38,8 +38,6 @@ from .scaling import (
 )
 from .seeding import spawn_rng
 
-REPORT_SCHEMA = "framescale/1"
-
 # Inputs at eps >= 1/2 are rejected: the sqrt(1 - eps) budget algebra
 # degrades and the certified bound is vacuous at small d anyway.
 EPS_INPUT_MAX = 0.5

@@ -6,25 +6,57 @@ double (JSON uses Python's shortest round-trip representation, CSV prints
 17 significant digits); round-trips are bit-faithful.
 
 JSON is written compact, on one line with a final newline: without an
-indent, ``json.dumps`` runs its C encoder. Whitespace is not part of the
-``framescale/1`` schema, so files written indented still load, and
-frames stay nested float lists. A report stores no isotropy residual; it
-reads back as ``None``, and ``reverify`` recomputes it from the frames.
+indent, ``json.dumps`` runs its C encoder. Reports are written in schema
+``framescale/2``: the input and perturbed frames, ``scaling.t`` and
+``scaling.A`` are base64 strings of little-endian, C-order float64, with
+shapes (n, d), (n, d), (n,) and (d, d) taken from the ``d``/``n`` fields
+beside them. Printing and parsing the shortest repr costs about a
+microsecond per float; the bytes cost a copy. The output frame stays a
+nested float list, which the benchmark's tamper check edits as a list,
+and standalone frame files keep nested lists. ``read_report`` also loads
+``framescale/1`` reports, where every array is a nested list, and
+whitespace is part of neither schema. A report stores no isotropy
+residual; it reads back as ``None``, and ``reverify`` recomputes it from
+the frames.
 """
 
 from __future__ import annotations
 
+import base64
 import json
+import math
 import re
 from pathlib import Path
 
 import numpy as np
 
 from .frames import Frame, FrameMetrics
-from .repair import REPORT_SCHEMA, AuditRecord, PerturbationBudget, RepairReport
+from .repair import AuditRecord, PerturbationBudget, RepairReport
 from .scaling import ScalingSolution
 
+REPORT_SCHEMA = "framescale/2"
+_SCHEMA_V1 = "framescale/1"
+
 _CSV_HEADER = re.compile(r"#\s*frame\s+d=(\d+)\s+n=(\d+)\s*$")
+
+
+def _pack(array: np.ndarray) -> str:
+    """Base64 of the array's little-endian, C-order float64 bytes."""
+    return base64.b64encode(np.ascontiguousarray(array, dtype="<f8").tobytes()).decode("ascii")
+
+
+def _unpack(text: str, shape: tuple[int, ...], field: str) -> np.ndarray:
+    """Inverse of ``_pack``: a float64 array of ``shape``, or ValueError naming ``field``."""
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except (ValueError, TypeError) as exc:  # binascii.Error is a ValueError
+        raise ValueError(f"malformed report: {field} is not base64: {exc}") from exc
+    expected = 8 * math.prod(shape)
+    if len(raw) != expected:
+        raise ValueError(
+            f"malformed report: {field} holds {len(raw)} bytes, expected {expected} for shape {shape}"
+        )
+    return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(float)
 
 
 def frame_to_dict(frame: Frame) -> dict:
@@ -42,6 +74,15 @@ def frame_from_dict(data: dict) -> Frame:
             f"frame header (d={d}, n={n}) disagrees with vectors ({frame.d}, {frame.n})"
         )
     return frame
+
+
+def _packed_frame_to_dict(frame: Frame) -> dict:
+    return {"d": frame.d, "n": frame.n, "vectors": _pack(frame.vectors)}
+
+
+def _packed_frame_from_dict(data: dict, field: str) -> Frame:
+    d, n = int(data["d"]), int(data["n"])
+    return Frame(_unpack(data["vectors"], (n, d), field))
 
 
 def write_frame_json(path: str | Path, frame: Frame) -> None:
@@ -99,10 +140,15 @@ def metrics_to_dict(metrics: FrameMetrics) -> dict:
 
 
 def scaling_to_dict(solution: ScalingSolution, d: int) -> dict:
+    """The solver's output with ``t`` and ``A`` as flat float lists, as ``solve-rip`` prints it."""
+    return _scaling_to_dict(solution, d, lambda a: a.reshape(-1).tolist())
+
+
+def _scaling_to_dict(solution: ScalingSolution, d: int, encode=_pack) -> dict:
     return {
         "d": d,
-        "t": solution.t.tolist(),
-        "A": solution.A.reshape(-1).tolist(),
+        "t": encode(solution.t),
+        "A": encode(solution.A),
         "residual_inf": solution.residual_inf,
         "iterations": solution.iterations,
         "converged": solution.converged,
@@ -110,11 +156,16 @@ def scaling_to_dict(solution: ScalingSolution, d: int) -> dict:
     }
 
 
-def _scaling_from_dict(data: dict) -> ScalingSolution:
+def _scaling_from_dict(data: dict, n: int, packed: bool) -> ScalingSolution:
     d = int(data["d"])
-    A = np.array(data["A"], dtype=float).reshape(d, d)
+    if packed:
+        t = _unpack(data["t"], (n,), "scaling.t")
+        A = _unpack(data["A"], (d, d), "scaling.A")
+    else:
+        t = np.array(data["t"], dtype=float)
+        A = np.array(data["A"], dtype=float).reshape(d, d)
     return ScalingSolution(
-        t=np.array(data["t"], dtype=float),
+        t=t,
         A=A,
         residual=None,
         residual_inf=float(data["residual_inf"]),
@@ -153,8 +204,8 @@ def report_to_dict(report: RepairReport, audit: AuditRecord | None = None) -> di
         "eps_op": report.eps_op,
         "eps_norm": report.eps_norm,
         "frames": {
-            "input": frame_to_dict(report.input_frame),
-            "perturbed": frame_to_dict(report.perturbed_frame),
+            "input": _packed_frame_to_dict(report.input_frame),
+            "perturbed": _packed_frame_to_dict(report.perturbed_frame),
             "output": frame_to_dict(report.output_frame),
         },
         "distances": {
@@ -169,7 +220,7 @@ def report_to_dict(report: RepairReport, audit: AuditRecord | None = None) -> di
             "gamma_prime": report.budget.gamma_prime,
             "gamma_prime_effective": report.gamma_prime_effective,
         },
-        "scaling": scaling_to_dict(report.scaling, report.d),
+        "scaling": _scaling_to_dict(report.scaling, report.d),
         "output_eps": report.output_eps,
         "certified": report.certified,
     }
@@ -179,13 +230,32 @@ def report_to_dict(report: RepairReport, audit: AuditRecord | None = None) -> di
 
 
 def report_from_dict(data: dict) -> RepairReport:
-    if data.get("schema") != REPORT_SCHEMA:
-        raise ValueError(f"unsupported report schema {data.get('schema')!r}")
+    """Rebuild a report from a ``framescale/2`` or ``framescale/1`` dict.
+
+    A missing key or a value of the wrong type raises ValueError.
+    """
+    try:
+        return _report_from_dict(data)
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed report: {type(exc).__name__}: {exc}") from exc
+
+
+def _report_from_dict(data: dict) -> RepairReport:
+    schema = data.get("schema")
+    if schema not in (REPORT_SCHEMA, _SCHEMA_V1):
+        raise ValueError(f"unsupported report schema {schema!r}")
+    packed = schema == REPORT_SCHEMA
     frames = data["frames"]
     budget = data["budget"]
+    if packed:
+        input_frame = _packed_frame_from_dict(frames["input"], "frames.input.vectors")
+        perturbed_frame = _packed_frame_from_dict(frames["perturbed"], "frames.perturbed.vectors")
+    else:
+        input_frame = frame_from_dict(frames["input"])
+        perturbed_frame = frame_from_dict(frames["perturbed"])
     return RepairReport(
-        input_frame=frame_from_dict(frames["input"]),
-        perturbed_frame=frame_from_dict(frames["perturbed"]),
+        input_frame=input_frame,
+        perturbed_frame=perturbed_frame,
         output_frame=frame_from_dict(frames["output"]),
         eps=float(data["eps"]),
         eps_op=float(data["eps_op"]),
@@ -200,7 +270,7 @@ def report_from_dict(data: dict) -> RepairReport:
             gamma_prime=float(budget["gamma_prime"]),
         ),
         gamma_prime_effective=float(budget["gamma_prime_effective"]),
-        scaling=_scaling_from_dict(data["scaling"]),
+        scaling=_scaling_from_dict(data["scaling"], int(data["n"]), packed),
         delta=float(data["delta"]),
         delta_solver=float(data["delta_solver"]),
         seed=int(data["seed"]),

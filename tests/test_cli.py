@@ -57,6 +57,23 @@ def test_audit_rejects_tampered_output(tmp_path, capsys):
     assert stderr_error(capsys)["type"] == "certification"
 
 
+@pytest.mark.parametrize("damage", ["no_budget", "not_an_object"])
+def test_malformed_report_is_config_error(tmp_path, capsys, damage):
+    report_path = repaired_report(tmp_path, "json")
+    data = json.loads(report_path.read_text())
+    if damage == "no_budget":
+        del data["budget"]
+    else:
+        data = []
+    report_path.write_text(json.dumps(data))
+    capsys.readouterr()
+    code = main(["audit", "--input", str(report_path), "--output", str(tmp_path / "a.json")])
+    assert code == EXIT_CONFIG
+    error = stderr_error(capsys)
+    assert error["type"] == "config"
+    assert error["message"].startswith("malformed report:")
+
+
 def test_missing_input_is_config_error(tmp_path, capsys):
     assert main(["analyze"]) == EXIT_CONFIG
     assert stderr_error(capsys)["type"] == "config"

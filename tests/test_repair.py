@@ -1,3 +1,4 @@
+import base64
 import importlib
 import json
 import math
@@ -326,3 +327,18 @@ class TestReverify:
         data["frames"]["output"]["vectors"] = (vectors * 1.5).tolist()
         path.write_text(json.dumps(data))
         assert not reverify(read_report(path)).certified
+
+    def test_tampered_packed_frame_detected(self, tmp_path):
+        report = repair(perturbed_instance(3, 9, 1e-2, seed=13), 1e-9, seed=13)
+        path = tmp_path / "report.json"
+        write_report(path, report)
+        data = json.loads(path.read_text())
+        perturbed = data["frames"]["perturbed"]
+        raw = base64.b64decode(perturbed["vectors"])
+        vectors = np.frombuffer(raw, dtype="<f8").reshape(perturbed["n"], perturbed["d"]).copy()
+        vectors[0] *= 1.5
+        perturbed["vectors"] = base64.b64encode(vectors.astype("<f8").tobytes()).decode("ascii")
+        path.write_text(json.dumps(data))
+        loaded = read_report(path)
+        np.testing.assert_array_equal(loaded.perturbed_frame.vectors, vectors)
+        assert not reverify(loaded).certified

@@ -1,16 +1,29 @@
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from framescale import Frame, audit_lemma_chain, generate_enpf, perturb_frame, repair
+from framescale import Frame, audit_lemma_chain, generate_enpf, perturb_frame, repair, reverify
 from framescale.serialize import (
     read_frame,
     read_report,
+    report_from_dict,
     report_to_dict,
     write_frame,
     write_report,
+)
+
+# A framescale/1 report of the module fixture's repair, written before
+# framescale/2 existed; every array in it is a nested float list.
+REPORT_V1 = Path(__file__).parent / "data" / "report_v1.json"
+
+PACKED_FIELDS = (
+    ("frames.input.vectors", ("frames", "input", "vectors")),
+    ("frames.perturbed.vectors", ("frames", "perturbed", "vectors")),
+    ("scaling.t", ("scaling", "t")),
+    ("scaling.A", ("scaling", "A")),
 )
 
 
@@ -18,6 +31,12 @@ def assert_bit_equal(a, b):
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     assert a.shape == b.shape
     np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def lookup(data: dict, keys: tuple[str, ...]):
+    for key in keys[:-1]:
+        data = data[key]
+    return data[keys[-1]]
 
 
 @pytest.fixture(scope="module")
@@ -78,3 +97,35 @@ def test_report_file_is_one_line(tmp_path, repaired):
     text = path.read_text()
     assert text.endswith("\n")
     assert "\n" not in text[:-1]
+    data = json.loads(text)
+    assert data["schema"] == "framescale/2"
+    for _, keys in PACKED_FIELDS:
+        assert isinstance(lookup(data, keys), str)
+    assert isinstance(data["frames"]["output"]["vectors"], list)
+
+
+def test_v1_report_still_loads(tmp_path, repaired):
+    report, _ = repaired
+    indented = tmp_path / "indented.json"
+    indented.write_text(json.dumps(json.loads(REPORT_V1.read_text()), indent=2) + "\n")
+    for path in (REPORT_V1, indented):
+        loaded = read_report(path)
+        for name in ("input_frame", "perturbed_frame", "output_frame"):
+            assert_bit_equal(getattr(loaded, name).vectors, getattr(report, name).vectors)
+        for name in ("t", "A"):
+            assert_bit_equal(getattr(loaded.scaling, name), getattr(report.scaling, name))
+        fresh = reverify(loaded)
+        assert fresh.certified and loaded.certified
+        assert audit_lemma_chain(fresh).passed
+
+
+@pytest.mark.parametrize("field, keys", PACKED_FIELDS)
+@pytest.mark.parametrize("damage", ["truncated", "not_base64"])
+def test_damaged_packed_field_names_the_field(repaired, field, keys, damage):
+    report, audit = repaired
+    data = report_to_dict(report, audit)
+    parent = lookup(data, keys[:-1])
+    text = parent[keys[-1]]
+    parent[keys[-1]] = text[:-4] if damage == "truncated" else "*" + text[1:]
+    with pytest.raises(ValueError, match=f"malformed report: {field} "):
+        report_from_dict(data)
