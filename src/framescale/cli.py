@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import logging
 import os
 import re
@@ -30,6 +29,7 @@ from .repair import audit_lemma_chain, repair, reverify
 from .scaling import ScalingConvergenceError, solve_radial_isotropic
 from .seeding import derive_seed
 from .serialize import (
+    encode_json,
     metrics_to_dict,
     read_frame,
     read_report,
@@ -68,16 +68,16 @@ class RunConfig:
 
 
 def _emit(payload: dict, output: Path | None) -> None:
-    text = json.dumps(payload) + "\n"
+    data = encode_json(payload, "output")
     if output is None:
-        sys.stdout.write(text)
+        sys.stdout.write(data.decode())
     else:
-        output.write_text(text)
+        output.write_bytes(data)
 
 
 def _error(kind: str, message: str, **extra) -> None:
     body = {"error": {"type": kind, "message": message, **extra}}
-    sys.stderr.write(json.dumps(body) + "\n")
+    sys.stderr.write(encode_json(body, "error").decode())
 
 
 def _resolve_n(spec: str, d: int) -> int:
@@ -239,7 +239,7 @@ def _cmd_bench(cfg: RunConfig) -> int:
                     format(v, ".17g") if isinstance(v, float) else v for v in row.values()
                 )
     else:
-        cfg.output.write_text(json.dumps(rows, indent=2) + "\n")
+        cfg.output.write_bytes(encode_json(rows, "bench rows", indent=True))
     log.info("bench wrote %d rows to %s (%d failures)", len(rows), cfg.output, failures)
     if failures:
         _error("certification", f"{failures} of {len(rows)} bench rows failed or were not certified")

@@ -57,12 +57,14 @@ def test_audit_rejects_tampered_output(tmp_path, capsys):
     assert stderr_error(capsys)["type"] == "certification"
 
 
-@pytest.mark.parametrize("damage", ["no_budget", "not_an_object"])
+@pytest.mark.parametrize("damage", ["no_budget", "not_an_object", "seed_beyond_64_bits"])
 def test_malformed_report_is_config_error(tmp_path, capsys, damage):
     report_path = repaired_report(tmp_path, "json")
     data = json.loads(report_path.read_text())
     if damage == "no_budget":
         del data["budget"]
+    elif damage == "seed_beyond_64_bits":
+        data["seed"] = 2**64 + 1
     else:
         data = []
     report_path.write_text(json.dumps(data))
@@ -72,6 +74,25 @@ def test_malformed_report_is_config_error(tmp_path, capsys, damage):
     error = stderr_error(capsys)
     assert error["type"] == "config"
     assert error["message"].startswith("malformed report:")
+
+
+@pytest.mark.parametrize("seed, code", [(2**64 - 1, EXIT_OK), (2**64, EXIT_CONFIG)])
+def test_seed_must_fit_in_64_bits(tmp_path, capsys, seed, code):
+    frame_path, report_path = tmp_path / "frame.json", tmp_path / "report.json"
+    assert main(["generate", "--output", str(frame_path), "--seed", "3", "--d", "3",
+                 "--n", "2d", "--eps", "1e-2"]) == EXIT_OK
+    assert main(["repair", "--input", str(frame_path), "--output", str(report_path),
+                 "--seed", str(seed)]) == code
+    if code == EXIT_CONFIG:
+        error = stderr_error(capsys)
+        assert error["type"] == "config"
+        assert error["message"].startswith("cannot encode report:")
+        assert not report_path.exists()
+        return
+    audit_path = tmp_path / "audit.json"
+    assert main(["audit", "--input", str(report_path), "--output", str(audit_path)]) == EXIT_OK
+    assert read_report(report_path).seed == seed
+    assert json.loads(audit_path.read_text())["seed"] == seed
 
 
 def test_missing_input_is_config_error(tmp_path, capsys):
@@ -92,7 +113,9 @@ def test_solve_rip_reports_blocking_subset(tmp_path, capsys):
 
 def read_bench(path, fmt: str) -> list[dict]:
     if fmt == "json":
-        rows = json.loads(path.read_text())
+        text = path.read_text()
+        assert text.startswith("[\n  {\n")
+        rows = json.loads(text)
         assert len({tuple(row) for row in rows}) == 1
         return rows
     with path.open(newline="") as handle:

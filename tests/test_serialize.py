@@ -7,6 +7,7 @@ import pytest
 
 from framescale import Frame, audit_lemma_chain, generate_enpf, perturb_frame, repair, reverify
 from framescale.serialize import (
+    frame_to_dict,
     read_frame,
     read_report,
     report_from_dict,
@@ -52,6 +53,36 @@ def test_frame_round_trip_is_bit_exact(tmp_path, fmt):
     path = tmp_path / f"frame.{fmt}"
     write_frame(path, frame, fmt)
     assert_bit_equal(read_frame(path).vectors, frame.vectors)
+
+
+def test_frame_crosses_codecs_bit_exact(tmp_path):
+    # Random bit patterns cover every exponent; the rest are the edge doubles.
+    bits = np.random.default_rng(5).integers(0, 2**64, size=20_000, dtype=np.uint64)
+    values = bits.view(np.float64)
+    values = values[np.isfinite(values)]
+    values[:6] = [-0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 0.1]
+    frame = Frame(values[: values.size // 4 * 4].reshape(-1, 4))
+    ours, theirs = tmp_path / "ours.json", tmp_path / "theirs.json"
+    write_frame(ours, frame)
+    assert_bit_equal(json.loads(ours.read_text())["vectors"], frame.vectors)
+    theirs.write_text(json.dumps(frame_to_dict(frame)))
+    assert_bit_equal(read_frame(theirs).vectors, frame.vectors)
+
+
+def test_report_crosses_codecs_bit_exact(tmp_path, repaired):
+    # Third-party readers and the benchmark's tamper check use stdlib json.
+    report, audit = repaired
+    ours, theirs = tmp_path / "ours.json", tmp_path / "theirs.json"
+    write_report(ours, report, audit)
+    data = json.loads(ours.read_text())
+    # repr of a float is exact, so equal stdlib text means equal bits and types.
+    assert json.dumps(data) == json.dumps(report_to_dict(report, audit))
+    theirs.write_text(json.dumps(data))
+    loaded = read_report(theirs)
+    for name in ("input_frame", "perturbed_frame", "output_frame"):
+        assert_bit_equal(getattr(loaded, name).vectors, getattr(report, name).vectors)
+    for name in ("t", "A"):
+        assert_bit_equal(getattr(loaded.scaling, name), getattr(report.scaling, name))
 
 
 def test_report_round_trip_is_bit_exact(tmp_path, repaired):
