@@ -11,15 +11,12 @@ from .frames import (
     perturb_frame,
     renormalize,
 )
-from .majorization import majorizes, transport_distance, wasserstein_prefix
+from .majorization import majorizes, transport_distance
 from .polytope import (
     MembershipResult,
     all_d_subsets_independent,
     basis_polytope_membership,
-    in_basis_polytope,
-    in_shrunk_polytope,
     numerical_rank,
-    polytope_support,
     shrunk_polytope_membership,
     uniform_coefficients,
 )
@@ -44,9 +41,7 @@ from .scaling import (
     scaling_hessian,
     scaling_potential,
     solve_radial_isotropic,
-    verify_radial_isotropic,
 )
-from .seeding import spawn_rng
 
 __version__ = "0.1.0"
 
@@ -62,14 +57,10 @@ __all__ = [
     "renormalize",
     "majorizes",
     "transport_distance",
-    "wasserstein_prefix",
     "MembershipResult",
     "all_d_subsets_independent",
     "basis_polytope_membership",
-    "in_basis_polytope",
-    "in_shrunk_polytope",
     "numerical_rank",
-    "polytope_support",
     "shrunk_polytope_membership",
     "uniform_coefficients",
     "AuditCheck",
@@ -90,6 +81,4 @@ __all__ = [
     "scaling_hessian",
     "scaling_potential",
     "solve_radial_isotropic",
-    "verify_radial_isotropic",
-    "spawn_rng",
 ]

@@ -26,7 +26,7 @@ from .polytope import (
     uniform_coefficients,
 )
 from .repair import audit_lemma_chain, repair, reverify
-from .scaling import ScalingConvergenceError, solve_radial_isotropic
+from .scaling import DEFAULT_MAX_ITER, ScalingConvergenceError, solve_radial_isotropic
 from .seeding import derive_seed
 from .serialize import (
     encode_json,
@@ -46,6 +46,8 @@ EXIT_CERTIFICATION = 1
 EXIT_CONFIG = 2
 EXIT_NO_CONVERGENCE = 3
 
+_DEFAULT_DELTA = 1e-9
+
 _N_SPEC = re.compile(r"^(\d*)d(?:([+-])(\d+))?$")
 
 
@@ -59,10 +61,10 @@ class RunConfig:
     d: tuple[int, ...] = ()
     n: tuple[str, ...] = ()
     eps: tuple[float, ...] = ()
-    delta: float = 1e-9
+    delta: float = _DEFAULT_DELTA
     alpha: float | None = None
     seed: int = 0
-    max_iter: int = 200
+    max_iter: int = DEFAULT_MAX_ITER
     format: str = "json"
     reps: int = 1
 
@@ -276,9 +278,9 @@ def build_parser() -> argparse.ArgumentParser:
         if needs.get("seed"):
             p.add_argument("--seed", required=True, type=int)
         if needs.get("delta"):
-            p.add_argument("--delta", type=float, default=1e-9)
+            p.add_argument("--delta", type=float, default=_DEFAULT_DELTA)
         if needs.get("max_iter"):
-            p.add_argument("--max-iter", type=int, default=200)
+            p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
         if needs.get("format"):
             p.add_argument("--format", choices=("json", "csv"), default="json")
         return p
@@ -329,10 +331,10 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         d=split(getattr(args, "d", None), int),
         n=split(getattr(args, "n", None), str),
         eps=split(getattr(args, "eps", None), float),
-        delta=getattr(args, "delta", 1e-9),
+        delta=getattr(args, "delta", _DEFAULT_DELTA),
         alpha=getattr(args, "alpha", None),
         seed=getattr(args, "seed", 0),
-        max_iter=getattr(args, "max_iter", 200),
+        max_iter=getattr(args, "max_iter", DEFAULT_MAX_ITER),
         format=getattr(args, "format", "json"),
         reps=getattr(args, "reps", 1),
     )
@@ -340,7 +342,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 def run(cfg: RunConfig) -> int:
     """Execute one resolved configuration; returns the process exit code."""
-    if cfg.delta is not None and cfg.delta <= 0:
+    if cfg.delta <= 0:
         raise ValueError("--delta must be positive")
     if cfg.input is not None and not cfg.input.exists():
         raise ValueError(f"input file not found: {cfg.input}")

@@ -73,9 +73,3 @@ def transport_distance(x, y) -> float:
     """
     _, transport = majorization_rows(*_pair(x, y))
     return float(transport)
-
-
-def wasserstein_prefix(x, y) -> float:
-    """Sum of absolute prefix-sum gaps, sum_j |prefix_x(j) - prefix_y(j)|."""
-    xa, ya = _pair(x, y)
-    return float(np.abs(np.cumsum(xa) - np.cumsum(ya)).sum())

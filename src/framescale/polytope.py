@@ -12,9 +12,9 @@ Both sides of that directional condition are positively homogeneous and
 linear on each permutation cone, whose extreme rays (given u >= 0 with
 u_min = 0) are indicators of proper subsets; it therefore suffices to
 check every proper subset S with (1 - alpha) * rank(S) >= sum_{i in S} c_i.
-The support function max_{v in B(U)} u^T v itself is evaluated by the
-matroid greedy rule (polytope_support), which the tests use to
-cross-validate the subset reduction on random directions.
+The tests cross-validate that reduction on random directions against the
+support function max_{v in B(U)} u^T v, evaluated by the matroid greedy
+rule in their own oracle.
 
 These tests certify hypotheses of downstream solvers, so they refuse
 oversized instances instead of approximating.
@@ -123,10 +123,6 @@ def basis_polytope_membership(frame: Frame, c) -> MembershipResult:
     return MembershipResult(in_polytope=violation is None, violating_subset=violation)
 
 
-def in_basis_polytope(frame: Frame, c) -> bool:
-    return basis_polytope_membership(frame, c).in_polytope
-
-
 def shrunk_polytope_membership(frame: Frame, c, alpha: float) -> MembershipResult:
     """Test c in (1-alpha) B(U) via proper-subset enumeration.
 
@@ -174,10 +170,6 @@ def shrunk_polytope_membership(frame: Frame, c, alpha: float) -> MembershipResul
     return MembershipResult(in_polytope=violation is None, violating_subset=violation)
 
 
-def in_shrunk_polytope(frame: Frame, c, alpha: float) -> bool:
-    return shrunk_polytope_membership(frame, c, alpha).in_polytope
-
-
 def all_d_subsets_independent(frame: Frame, max_subsets: int = SUBSET_CAP) -> bool:
     """True iff every d-subset of the frame has numerical rank d.
 
@@ -207,29 +199,3 @@ def all_d_subsets_independent(frame: Frame, max_subsets: int = SUBSET_CAP) -> bo
     if batch and not batch_ok(batch):
         return False
     return True
-
-
-def polytope_support(frame: Frame, direction) -> float:
-    """max_{v in B(U)} u^T v via the matroid greedy rule.
-
-    Scans indices by decreasing direction weight and keeps those that
-    enlarge the span; the kept weights sum to the support value.
-    """
-    u = np.asarray(direction, dtype=float).ravel()
-    if u.size != frame.n:
-        raise ValueError(f"direction has length {u.size}, expected {frame.n}")
-    vecs = frame.vectors
-    order = np.argsort(-u, kind="stable")
-    kept: list[int] = []
-    rank = 0
-    value = 0.0
-    for i in order:
-        if rank == frame.d:
-            break
-        candidate = kept + [int(i)]
-        new_rank = numerical_rank(vecs[candidate])
-        if new_rank > rank:
-            kept = candidate
-            rank = new_rank
-            value += float(u[i])
-    return value

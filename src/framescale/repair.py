@@ -20,20 +20,20 @@ behind the bound on the concrete instance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .frames import Frame, dist_sq, frame_metrics, renormalize
+from .frames import Frame, FrameMetrics, dist_sq, frame_metrics, renormalize
 from .majorization import MAJORIZATION_TOL, majorization_rows, transport_distance
 from .polytope import all_d_subsets_independent, uniform_coefficients
 from .scaling import (
-    STATIONARITY_FACTOR,
     DEFAULT_MAX_ITER,
     DiagonalScaling,
     ScalingSolution,
+    _images,
+    _isotropy_test,
     diagonalize_transform,
-    isotropy_residual,
     solve_radial_isotropic,
 )
 from .seeding import spawn_rng
@@ -235,45 +235,16 @@ def repair(
         raise ValueError(f"input eps={eps:.3g} is not below {EPS_INPUT_MAX}")
 
     budget = PerturbationBudget.for_input(eps, d, n)
-    normalized = renormalize(frame, d / n)
-    perturbed = perturb_to_general_position(normalized, budget, seed)
-    perturbed_norm_drift = frame_metrics(perturbed).eps_norm
-    gamma_prime_effective = max(budget.gamma_prime, perturbed_norm_drift)
-
-    c = uniform_coefficients(d, n)
+    perturbed = perturb_to_general_position(renormalize(frame, d / n), budget, seed)
     delta_solver = max(delta * eps / d**3, min(DELTA_SOLVER_FLOOR, delta / d))
-    solution = solve_radial_isotropic(perturbed, c, delta_solver, max_iter=max_iter)
-
+    solution = solve_radial_isotropic(
+        perturbed, uniform_coefficients(d, n), delta_solver, max_iter=max_iter
+    )
     images = perturbed.vectors @ solution.A.T
     norms = np.sqrt((images**2).sum(axis=1))
     output = Frame(math.sqrt(d / n) * images / norms[:, None])
-
-    dvw = dist_sq(frame, output)
-    dvu = dist_sq(frame, perturbed)
-    duw = dist_sq(perturbed, output)
-    bound = 20.0 * eps * d * d
-    output_eps = frame_metrics(output).eps
-    certified = bool(dvw <= bound and output_eps <= delta and solution.converged)
-
-    return RepairReport(
-        input_frame=frame,
-        perturbed_frame=perturbed,
-        output_frame=output,
-        eps=eps,
-        eps_op=metrics.eps_op,
-        eps_norm=metrics.eps_norm,
-        dist_sq_vw=dvw,
-        dist_sq_vu=dvu,
-        dist_sq_uw=duw,
-        bound=bound,
-        budget=budget,
-        gamma_prime_effective=gamma_prime_effective,
-        scaling=solution,
-        delta=delta,
-        delta_solver=delta_solver,
-        seed=seed,
-        output_eps=output_eps,
-        certified=certified,
+    return _certify(
+        frame, metrics, perturbed, output, solution, budget, delta, delta_solver, seed
     )
 
 
@@ -284,32 +255,46 @@ def reverify(stored: RepairReport) -> RepairReport:
     recomputed; only the raw frames, the transformation, and the run
     parameters (delta, seed, budget) are taken from the stored report.
     """
-    V, U, W = stored.input_frame, stored.perturbed_frame, stored.output_frame
-    metrics = frame_metrics(V)
-    c = uniform_coefficients(V.d, V.n)
-    J, resid = isotropy_residual(U, c, stored.scaling.A)
-    images = U.vectors @ stored.scaling.A.T
-    gap = float(np.abs(np.exp(stored.scaling.t) * (images**2).sum(axis=1) - 1.0).max())
-    converged = bool(
-        resid <= stored.delta_solver and gap <= STATIONARITY_FACTOR * stored.delta_solver
+    V, U, A = stored.input_frame, stored.perturbed_frame, stored.scaling.A
+    J, resid, gap, converged = _isotropy_test(
+        _images(U, A), uniform_coefficients(V.d, V.n), stored.scaling.t, stored.delta_solver
     )
-    scaling = ScalingSolution(
-        t=stored.scaling.t,
-        A=stored.scaling.A,
-        residual=J,
-        residual_inf=resid,
-        iterations=stored.scaling.iterations,
-        converged=converged,
-        stationarity_gap=gap,
+    scaling = replace(
+        stored.scaling, residual=J, residual_inf=resid, converged=converged, stationarity_gap=gap
     )
-    budget = PerturbationBudget.from_eta_max(stored.budget.eta_max, V.d, V.n)
-    gamma_prime_effective = max(budget.gamma_prime, frame_metrics(U).eps_norm)
+    return _certify(
+        V,
+        frame_metrics(V),
+        U,
+        stored.output_frame,
+        scaling,
+        PerturbationBudget.from_eta_max(stored.budget.eta_max, V.d, V.n),
+        stored.delta,
+        stored.delta_solver,
+        stored.seed,
+    )
+
+
+def _certify(
+    V: Frame,
+    metrics: FrameMetrics,
+    U: Frame,
+    W: Frame,
+    scaling: ScalingSolution,
+    budget: PerturbationBudget,
+    delta: float,
+    delta_solver: float,
+    seed: int,
+) -> RepairReport:
+    """The report on input V, perturbed U and output W, with its verdict.
+
+    ``metrics`` are those of V. Every distance, the bound, gamma'_eff and
+    the nearness of W are measured here; the verdict also needs
+    ``scaling.converged``, which the caller has measured.
+    """
     dvw = dist_sq(V, W)
-    dvu = dist_sq(V, U)
-    duw = dist_sq(U, W)
     bound = 20.0 * metrics.eps * V.d * V.d
     output_eps = frame_metrics(W).eps
-    certified = bool(dvw <= bound and output_eps <= stored.delta and converged)
     return RepairReport(
         input_frame=V,
         perturbed_frame=U,
@@ -318,17 +303,17 @@ def reverify(stored: RepairReport) -> RepairReport:
         eps_op=metrics.eps_op,
         eps_norm=metrics.eps_norm,
         dist_sq_vw=dvw,
-        dist_sq_vu=dvu,
-        dist_sq_uw=duw,
+        dist_sq_vu=dist_sq(V, U),
+        dist_sq_uw=dist_sq(U, W),
         bound=bound,
         budget=budget,
-        gamma_prime_effective=gamma_prime_effective,
+        gamma_prime_effective=max(budget.gamma_prime, frame_metrics(U).eps_norm),
         scaling=scaling,
-        delta=stored.delta,
-        delta_solver=stored.delta_solver,
-        seed=stored.seed,
+        delta=delta,
+        delta_solver=delta_solver,
+        seed=seed,
         output_eps=output_eps,
-        certified=certified,
+        certified=bool(dvw <= bound and output_eps <= delta and scaling.converged),
     )
 
 

@@ -16,7 +16,8 @@ a blocking subset, which the solver diagnoses.
 Everything the solver needs comes from the whitened rows
 y_i = sqrt(c_i e^{t_i}) M(t)^{-1/2} u_i. Their Gram matrix G = Y Y^T is the
 orthogonal projector onto the row space of the weighted vectors; the
-gradient is g_i = ||y_i||^2 - c_i and the Hessian is diag(G) - G o G. The
+gradient is g_i = ||y_i||^2 - c_i and the Hessian is diag(G) - G o G,
+which ``scaling_hessian`` forms densely as a test oracle. The
 Hadamard square has rank at most r = d(d+1)/2: (G o G)_ij = K_i . K_j, where
 K_i is the upper triangle of y_i y_i^T with off-diagonal entries scaled by
 sqrt(2). The Newton system is therefore a diagonal matrix plus a term of
@@ -29,6 +30,8 @@ The solver is damped Newton with an Armijo backtracking line search and a
 gradient-descent fallback; convergence is declared only after the residual
 J = sum_i c_i w_i w_i^T - I of the renormalized scaled frame has been
 recomputed and its largest entry checked against the requested delta.
+That test lives in ``_isotropy_test``, which also re-checks the stored
+scaling of a report in ``reverify``.
 """
 
 from __future__ import annotations
@@ -152,18 +155,6 @@ def _whitened(vecs: np.ndarray, c: np.ndarray, t: np.ndarray) -> np.ndarray:
     return (vecs @ A) * np.sqrt(c * np.exp(t))[:, None]
 
 
-def _gram(vecs: np.ndarray, c: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """G = Y Y^T, so G_ij = sqrt(c_i c_j) e^{(t_i+t_j)/2} u_i^T M^{-1} u_j.
-
-    G is the orthogonal projector onto the row space of the weighted
-    vectors: diag(G) - c is the potential gradient and diag(diag G) - G*G
-    its Hessian. This dense n x n form serves ``scaling_hessian`` only; the
-    solver works from the rows Y and the rank-r factor K of G*G.
-    """
-    Y = _whitened(vecs, c, t)
-    return Y @ Y.T
-
-
 def scaling_gradient(frame: Frame, c, t) -> np.ndarray:
     """Gradient g_i = c_i (e^{t_i} u_i^T M(t)^{-1} u_i - 1); sums to zero."""
     ca = validate_coefficients(c, frame.d, frame.n)
@@ -176,14 +167,51 @@ def scaling_gradient(frame: Frame, c, t) -> np.ndarray:
 
 
 def scaling_hessian(frame: Frame, c, t) -> np.ndarray:
-    """Closed-form Hessian of the potential; PSD with null vector 1."""
+    """Closed-form Hessian diag(diag G) - G o G of the potential; PSD with null vector 1.
+
+    G = Y Y^T, so G_ij = sqrt(c_i c_j) e^{(t_i+t_j)/2} u_i^T M^{-1} u_j. This
+    dense n x n form is a test oracle; the solver works from the rows Y and
+    the rank-r factor K of G o G.
+    """
     ca = validate_coefficients(c, frame.d, frame.n)
     ta = _as_t(frame, t)
     try:
-        G = _gram(frame.vectors, ca, ta)
+        Y = _whitened(frame.vectors, ca, ta)
     except np.linalg.LinAlgError as exc:
         raise ValueError("weighted sum M(t) is singular") from exc
+    G = Y @ Y.T
     return np.diag(np.diag(G)) - G * G
+
+
+def _isotropy_test(
+    images: np.ndarray, c: np.ndarray, t: np.ndarray, delta: float
+) -> tuple[np.ndarray, float, float, bool]:
+    """Convergence test of the scaled rows ``images`` (rows A u_i) at iterate t.
+
+    Returns J = sum_i c_i w_i w_i^T - I for w_i = A u_i / ||A u_i||, its
+    largest entry in absolute value, the stationarity gap
+    max_i |e^{t_i} ||A u_i||^2 - 1|, and whether both meet delta. A t_i
+    whose exponential overflows gives an infinite gap, never a warning.
+    """
+    norms2 = (images**2).sum(axis=1)
+    unit = images / np.sqrt(norms2)[:, None]
+    J = (unit.T * c) @ unit - np.eye(images.shape[1])
+    resid = float(np.abs(J).max())
+    with np.errstate(over="ignore"):
+        gap = float(np.abs(np.exp(t) * norms2 - 1.0).max())
+    return J, resid, gap, bool(resid <= delta and gap <= STATIONARITY_FACTOR * delta)
+
+
+def _images(frame: Frame, A) -> np.ndarray:
+    """Rows A u_i of a given A; raises if A has the wrong shape or some A u_i vanishes."""
+    Aa = np.asarray(A, dtype=float)
+    if Aa.shape != (frame.d, frame.d):
+        raise ValueError(f"A must be {frame.d} x {frame.d}, got {Aa.shape}")
+    images = frame.vectors @ Aa.T
+    dead = np.flatnonzero((images**2).sum(axis=1) == 0.0)
+    if dead.size:
+        raise ValueError(f"A u_i = 0 at index {dead[0]}; A is singular on the frame")
+    return images
 
 
 def isotropy_residual(frame: Frame, c, A) -> tuple[np.ndarray, float]:
@@ -193,23 +221,8 @@ def isotropy_residual(frame: Frame, c, A) -> tuple[np.ndarray, float]:
     a frame vector), since renormalization is then undefined.
     """
     ca = validate_coefficients(c, frame.d, frame.n)
-    Aa = np.asarray(A, dtype=float)
-    if Aa.shape != (frame.d, frame.d):
-        raise ValueError(f"A must be {frame.d} x {frame.d}, got {Aa.shape}")
-    images = frame.vectors @ Aa.T
-    norms2 = (images**2).sum(axis=1)
-    dead = np.flatnonzero(norms2 == 0.0)
-    if dead.size:
-        raise ValueError(f"A u_i = 0 at index {dead[0]}; A is singular on the frame")
-    unit = images / np.sqrt(norms2)[:, None]
-    J = (unit.T * ca) @ unit - np.eye(frame.d)
-    return J, float(np.abs(J).max())
-
-
-def verify_radial_isotropic(frame: Frame, c, A, delta: float) -> tuple[np.ndarray, bool]:
-    """Recompute the isotropy residual of A and test ||J||_inf <= delta."""
-    J, resid = isotropy_residual(frame, c, A)
-    return J, resid <= delta
+    J, resid, _, _ = _isotropy_test(_images(frame, A), ca, np.zeros(frame.n), 0.0)
+    return J, resid
 
 
 def _newton_direction(Y: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -322,12 +335,8 @@ def solve_radial_isotropic(
         except np.linalg.LinAlgError:
             raise fail("weighted sum M(t) became singular", float("inf"), iterations)
         images = vecs @ A
-        norms2 = (images**2).sum(axis=1)
-        unit = images / np.sqrt(norms2)[:, None]
-        J = (unit.T * ca) @ unit - np.eye(frame.d)
-        resid = float(np.abs(J).max())
-        stationarity = float(np.abs(np.exp(t) * norms2 - 1.0).max())
-        if resid <= delta and stationarity <= STATIONARITY_FACTOR * delta:
+        J, resid, stationarity, converged = _isotropy_test(images, ca, t, delta)
+        if converged:
             return ScalingSolution(
                 t=t.copy(),
                 A=A,

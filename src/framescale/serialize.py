@@ -20,7 +20,8 @@ benchmark's tamper check edits as a list, and standalone frame files
 keep nested lists. ``read_report`` also loads ``framescale/1`` reports,
 where every array is a nested list, and whitespace is part of neither
 schema. A report stores no isotropy residual; it reads back as ``None``,
-and ``reverify`` recomputes it from the frames.
+and ``reverify`` recomputes it from the frames. A non-finite entry of
+``scaling.t`` or ``scaling.A`` makes a report malformed in either schema.
 """
 
 from __future__ import annotations
@@ -179,6 +180,9 @@ def _scaling_from_dict(data: dict, n: int, packed: bool) -> ScalingSolution:
     else:
         t = np.array(data["t"], dtype=float)
         A = np.array(data["A"], dtype=float).reshape(d, d)
+    for name, array in (("t", t), ("A", A)):
+        if not np.isfinite(array).all():
+            raise ValueError(f"malformed report: scaling.{name} holds a non-finite value")
     return ScalingSolution(
         t=t,
         A=A,

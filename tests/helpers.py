@@ -16,6 +16,7 @@ from framescale import (
     transport_distance,
 )
 from framescale.majorization import MAJORIZATION_TOL
+from framescale.polytope import numerical_rank
 from framescale.repair import _AUDIT_ATOL
 
 
@@ -142,3 +143,38 @@ def audit_per_vector_oracle(report) -> dict[str, tuple[bool, float, float]]:
             2.0 * transport_each,
         ),
     }
+
+
+def polytope_support(frame: Frame, direction) -> float:
+    """max_{v in B(U)} u^T v via the matroid greedy rule.
+
+    Scans indices by decreasing direction weight and keeps those that
+    enlarge the span; the kept weights sum to the support value.
+    """
+    u = np.asarray(direction, dtype=float).ravel()
+    if u.size != frame.n:
+        raise ValueError(f"direction has length {u.size}, expected {frame.n}")
+    vecs = frame.vectors
+    order = np.argsort(-u, kind="stable")
+    kept: list[int] = []
+    rank = 0
+    value = 0.0
+    for i in order:
+        if rank == frame.d:
+            break
+        candidate = kept + [int(i)]
+        new_rank = numerical_rank(vecs[candidate])
+        if new_rank > rank:
+            kept = candidate
+            rank = new_rank
+            value += float(u[i])
+    return value
+
+
+def wasserstein_prefix(x, y) -> float:
+    """Sum of absolute prefix-sum gaps, sum_j |prefix_x(j) - prefix_y(j)|."""
+    xa = np.asarray(x, dtype=float).ravel()
+    ya = np.asarray(y, dtype=float).ravel()
+    if xa.shape != ya.shape:
+        raise ValueError(f"length mismatch: {xa.size} vs {ya.size}")
+    return float(np.abs(np.cumsum(xa) - np.cumsum(ya)).sum())

@@ -1,5 +1,7 @@
+import base64
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -57,15 +59,26 @@ def test_audit_rejects_tampered_output(tmp_path, capsys):
     assert stderr_error(capsys)["type"] == "certification"
 
 
-@pytest.mark.parametrize("damage", ["no_budget", "not_an_object", "seed_beyond_64_bits"])
+def set_stored_t0(report_path, value: float) -> None:
+    """Overwrite t_0 in the packed ``scaling.t`` of a stored report."""
+    data = json.loads(report_path.read_text())
+    t = np.frombuffer(base64.b64decode(data["scaling"]["t"]), dtype="<f8").copy()
+    t[0] = value
+    data["scaling"]["t"] = base64.b64encode(t.tobytes()).decode("ascii")
+    report_path.write_text(json.dumps(data))
+
+
+@pytest.mark.parametrize("damage", ["no_budget", "not_an_object", "seed_beyond_64_bits", "nan_t"])
 def test_malformed_report_is_config_error(tmp_path, capsys, damage):
     report_path = repaired_report(tmp_path, "json")
+    if damage == "nan_t":
+        set_stored_t0(report_path, np.nan)
     data = json.loads(report_path.read_text())
     if damage == "no_budget":
         del data["budget"]
     elif damage == "seed_beyond_64_bits":
         data["seed"] = 2**64 + 1
-    else:
+    elif damage == "not_an_object":
         data = []
     report_path.write_text(json.dumps(data))
     capsys.readouterr()
@@ -74,6 +87,23 @@ def test_malformed_report_is_config_error(tmp_path, capsys, damage):
     error = stderr_error(capsys)
     assert error["type"] == "config"
     assert error["message"].startswith("malformed report:")
+
+
+def test_overflowing_stored_t_is_uncertified(tmp_path, capsys):
+    # e^1000 overflows: the stationarity gap is infinite and the verdict fails, without a warning.
+    report_path = repaired_report(tmp_path, "json")
+    set_stored_t0(report_path, 1000.0)
+    capsys.readouterr()
+    audit_path = tmp_path / "audit.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["audit", "--input", str(report_path), "--output", str(audit_path)])
+    assert code == EXIT_CERTIFICATION
+    assert stderr_error(capsys)["type"] == "certification"
+    payload = json.loads(audit_path.read_text())
+    assert not payload["scaling"]["converged"]
+    assert not payload["certified"]
+    assert payload["stored_certified"]
 
 
 @pytest.mark.parametrize("seed, code", [(2**64 - 1, EXIT_OK), (2**64, EXIT_CONFIG)])

@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from framescale import majorizes, transport_distance, wasserstein_prefix
+from framescale import majorizes, transport_distance
 from framescale.majorization import majorization_rows
 
-from helpers import random_majorizing_pair
+from helpers import random_majorizing_pair, wasserstein_prefix
 
 finite_seq = arrays(np.float64, st.integers(1, 8), elements=st.floats(-50, 50))
 

@@ -5,14 +5,11 @@ from framescale import (
     Frame,
     all_d_subsets_independent,
     basis_polytope_membership,
-    in_basis_polytope,
-    in_shrunk_polytope,
-    polytope_support,
     shrunk_polytope_membership,
     uniform_coefficients,
 )
 
-from helpers import random_generic_frame
+from helpers import polytope_support, random_generic_frame
 
 TRIPLE = Frame(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
 PARALLEL = Frame(np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 1.0]]))
@@ -20,7 +17,7 @@ PARALLEL = Frame(np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 1.0]]))
 
 class TestBasisPolytope:
     def test_generic_triple_uniform(self):
-        assert in_basis_polytope(TRIPLE, uniform_coefficients(2, 3))
+        assert basis_polytope_membership(TRIPLE, uniform_coefficients(2, 3)).in_polytope
 
     def test_parallel_pair_blocks_uniform(self):
         result = basis_polytope_membership(PARALLEL, uniform_coefficients(2, 3))
@@ -28,24 +25,24 @@ class TestBasisPolytope:
         assert result.violating_subset == (0, 1)
 
     def test_orthonormal_basis_all_ones(self):
-        assert in_basis_polytope(Frame(np.eye(3)), np.ones(3))
+        assert basis_polytope_membership(Frame(np.eye(3)), np.ones(3)).in_polytope
 
     def test_sum_constraint_enforced(self):
         with pytest.raises(ValueError):
-            in_basis_polytope(TRIPLE, np.array([0.5, 0.5, 0.5]))
+            basis_polytope_membership(TRIPLE, np.array([0.5, 0.5, 0.5]))
 
     def test_negative_coefficients_rejected(self):
         with pytest.raises(ValueError):
-            in_basis_polytope(TRIPLE, np.array([-0.5, 1.5, 1.0]))
+            basis_polytope_membership(TRIPLE, np.array([-0.5, 1.5, 1.0]))
 
     def test_size_cap_refused(self):
         big = Frame(np.ones((21, 2)))
         with pytest.raises(ValueError):
-            in_basis_polytope(big, uniform_coefficients(2, 21))
+            basis_polytope_membership(big, uniform_coefficients(2, 21))
 
     def test_non_spanning_frame_excluded(self):
         flat = Frame(np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]))
-        assert not in_basis_polytope(flat, uniform_coefficients(2, 3))
+        assert not basis_polytope_membership(flat, uniform_coefficients(2, 3)).in_polytope
 
 
 class TestAllDSubsets:
@@ -71,7 +68,7 @@ class TestAllDSubsets:
 
 class TestShrunkPolytope:
     def test_triple_at_one_third(self):
-        assert in_shrunk_polytope(TRIPLE, uniform_coefficients(2, 3), 1.0 / 3.0)
+        assert shrunk_polytope_membership(TRIPLE, uniform_coefficients(2, 3), 1.0 / 3.0).in_polytope
 
     def test_triple_at_point_nine(self):
         result = shrunk_polytope_membership(TRIPLE, uniform_coefficients(2, 3), 0.9)
@@ -80,19 +77,19 @@ class TestShrunkPolytope:
 
     def test_square_basis_needs_slack(self):
         # with n = d every coefficient is pinned at 1; any shrink breaks it
-        assert not in_shrunk_polytope(Frame(np.eye(3)), np.ones(3), 0.01)
-        assert in_shrunk_polytope(Frame(np.eye(3)), np.ones(3), 0.0)
+        assert not shrunk_polytope_membership(Frame(np.eye(3)), np.ones(3), 0.01).in_polytope
+        assert shrunk_polytope_membership(Frame(np.eye(3)), np.ones(3), 0.0).in_polytope
 
     def test_alpha_validation(self):
         c = uniform_coefficients(2, 3)
         for alpha in (-0.1, 1.0, 1.5):
             with pytest.raises(ValueError):
-                in_shrunk_polytope(TRIPLE, c, alpha)
+                shrunk_polytope_membership(TRIPLE, c, alpha)
 
     def test_box_constraint_enforced(self):
         frame = Frame(np.vstack([np.eye(2), np.eye(2)]))
         with pytest.raises(ValueError):
-            in_shrunk_polytope(frame, np.array([1.5, 0.5, 0.0, 0.0]), 0.1)
+            shrunk_polytope_membership(frame, np.array([1.5, 0.5, 0.0, 0.0]), 0.1)
 
     def test_alpha_zero_matches_basis_polytope(self):
         rng = np.random.default_rng(1)
@@ -101,7 +98,8 @@ class TestShrunkPolytope:
             n = int(rng.integers(d, 3 * d))
             frame = random_generic_frame(rng, d, n)
             c = uniform_coefficients(d, n)
-            assert in_shrunk_polytope(frame, c, 0.0) == in_basis_polytope(frame, c)
+            shrunk = shrunk_polytope_membership(frame, c, 0.0)
+            assert shrunk.in_polytope == basis_polytope_membership(frame, c).in_polytope
 
     def test_monotone_in_alpha(self):
         rng = np.random.default_rng(2)
@@ -111,7 +109,7 @@ class TestShrunkPolytope:
             frame = random_generic_frame(rng, d, n)
             c = uniform_coefficients(d, n)
             alphas = np.sort(rng.uniform(0.0, 0.99, size=4))
-            members = [in_shrunk_polytope(frame, c, float(a)) for a in alphas]
+            members = [shrunk_polytope_membership(frame, c, float(a)).in_polytope for a in alphas]
             # membership can only be lost as alpha grows
             for earlier, later in zip(members, members[1:]):
                 assert earlier or not later
@@ -123,7 +121,7 @@ class TestShrunkPolytope:
             n = int(rng.integers(d + 1, 15))
             frame = random_generic_frame(rng, d, n)
             assert all_d_subsets_independent(frame)
-            assert in_shrunk_polytope(frame, uniform_coefficients(d, n), 1.0 / n)
+            assert shrunk_polytope_membership(frame, uniform_coefficients(d, n), 1.0 / n).in_polytope
 
 
 class TestSupportFunction:

@@ -1,4 +1,5 @@
 import base64
+import dataclasses
 import importlib
 import json
 import math
@@ -16,13 +17,13 @@ from framescale import (
     dist_sq,
     frame_metrics,
     generate_enpf,
+    isotropy_residual,
     perturb_frame,
     perturb_to_general_position,
     renormalize,
     repair,
     rescale_preserving_norms,
     reverify,
-    verify_radial_isotropic,
     uniform_coefficients,
 )
 from framescale.serialize import read_report, write_report
@@ -244,10 +245,8 @@ class TestRepair:
         frame = perturbed_instance(4, 12, 1e-2, seed=8)
         report = repair(frame, 1e-9, seed=8)
         c = uniform_coefficients(4, 12)
-        _, ok = verify_radial_isotropic(
-            report.perturbed_frame, c, report.scaling.A, report.delta_solver
-        )
-        assert ok
+        _, resid = isotropy_residual(report.perturbed_frame, c, report.scaling.A)
+        assert resid <= report.delta_solver
 
 
 class TestAuditChain:
@@ -296,12 +295,39 @@ class TestReverify:
         assert fresh.eps == pytest.approx(report.eps)
         assert fresh.dist_sq_vw == pytest.approx(report.dist_sq_vw)
         assert fresh.scaling.converged
+        # Frames, scalars and budget are bit-equal. J, its largest entry and the
+        # stationarity gap may move in the last bits: the solver forms U A and
+        # reverify U A^T, and A is not bitwise symmetric.
+        for f in dataclasses.fields(report):
+            value, again = getattr(report, f.name), getattr(fresh, f.name)
+            if isinstance(value, Frame):
+                np.testing.assert_array_equal(again.vectors, value.vectors, err_msg=f.name)
+            elif f.name != "scaling":
+                assert again == value, f.name
+        for f in dataclasses.fields(report.scaling):
+            value, again = getattr(report.scaling, f.name), getattr(fresh.scaling, f.name)
+            if f.name in ("residual", "residual_inf", "stationarity_gap"):
+                np.testing.assert_allclose(again, value, rtol=0, atol=1e-12, err_msg=f.name)
+            elif isinstance(value, np.ndarray):
+                np.testing.assert_array_equal(again, value, err_msg=f.name)
+            else:
+                assert again == value, f.name
+        # A stored A with a zero last column maps a perturbed vector e_3 |u_0| to exactly 0.
+        A = report.scaling.A.copy()
+        A[:, -1] = 0.0
+        vectors = report.perturbed_frame.vectors.copy()
+        vectors[0] = [0.0, 0.0, np.linalg.norm(vectors[0])]
+        stored = dataclasses.replace(
+            report,
+            perturbed_frame=Frame(vectors),
+            scaling=dataclasses.replace(report.scaling, A=A),
+        )
+        with pytest.raises(ValueError, match="A u_i = 0 at index 0"):
+            reverify(stored)
 
     def test_tampered_output_detected(self):
         frame = perturbed_instance(3, 9, 1e-2, seed=12)
         report = repair(frame, 1e-9, seed=12)
-        import dataclasses
-
         tampered = dataclasses.replace(
             report, output_frame=Frame(report.output_frame.vectors * 1.5)
         )

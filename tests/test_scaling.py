@@ -17,7 +17,6 @@ from framescale import (
     scaling_potential,
     solve_radial_isotropic,
     uniform_coefficients,
-    verify_radial_isotropic,
 )
 
 from framescale.scaling import _newton_direction, _whitened
@@ -138,8 +137,7 @@ class TestSolve:
     def test_two_vector_instance_orthogonalizes(self):
         frame = Frame(np.array([[1.0, 0.0], [np.sqrt(0.5), np.sqrt(0.5)]]))
         sol = solve_radial_isotropic(frame, np.ones(2), 1e-10)
-        _, ok = verify_radial_isotropic(frame, np.ones(2), sol.A, 1e-10)
-        assert ok
+        assert isotropy_residual(frame, np.ones(2), sol.A)[1] <= 1e-10
         images = frame.vectors @ sol.A.T
         unit = images / np.linalg.norm(images, axis=1)[:, None]
         assert abs(unit[0] @ unit[1]) <= 1e-8
@@ -167,8 +165,8 @@ class TestSolve:
             delta = 10.0 ** -rng.integers(6, 13)
             sol = solve_radial_isotropic(frame, uniform_coefficients(d, n), float(delta))
             assert sol.converged
-            J, ok = verify_radial_isotropic(frame, uniform_coefficients(d, n), sol.A, float(delta))
-            assert ok
+            J, resid = isotropy_residual(frame, uniform_coefficients(d, n), sol.A)
+            assert resid <= delta
             np.testing.assert_allclose(J, sol.residual, atol=1e-14)
             images = frame.vectors @ sol.A.T
             gaps = np.abs(np.exp(sol.t) * (images**2).sum(axis=1) - 1.0)
@@ -227,20 +225,20 @@ class TestNewtonDirection:
 
 class TestVerify:
     def test_identity_frame(self):
-        J, ok = verify_radial_isotropic(IDENTITY2, np.ones(2), np.eye(2), 1e-12)
+        J, resid = isotropy_residual(IDENTITY2, np.ones(2), np.eye(2))
         np.testing.assert_allclose(J, 0.0, atol=1e-15)
-        assert ok
+        assert resid <= 1e-12
 
     def test_scale_invariance(self):
-        J, ok = verify_radial_isotropic(IDENTITY2, np.ones(2), 5.0 * np.eye(2), 1e-12)
+        J, resid = isotropy_residual(IDENTITY2, np.ones(2), 5.0 * np.eye(2))
         np.testing.assert_allclose(J, 0.0, atol=1e-15)
-        assert ok
+        assert resid <= 1e-12
 
     def test_vanishing_image_rejected(self):
         A = np.array([[1.0, 0.0], [0.0, 0.0]])
         frame = Frame(np.array([[0.0, 1.0], [1.0, 0.0]]))
         with pytest.raises(ValueError):
-            verify_radial_isotropic(frame, np.ones(2), A, 1e-9)
+            isotropy_residual(frame, np.ones(2), A)
 
 
 class TestDiagonalize:

@@ -1,3 +1,4 @@
+import base64
 import dataclasses
 import json
 from pathlib import Path
@@ -156,4 +157,23 @@ def test_damaged_packed_field_names_the_field(repaired, field, damage):
     text = parent[key]
     parent[key] = text[:-4] if damage == "truncated" else "*" + text[1:]
     with pytest.raises(ValueError, match=f"malformed report: {field} "):
+        report_from_dict(data)
+
+
+@pytest.mark.parametrize("field", ["scaling.t", "scaling.A"])
+@pytest.mark.parametrize("schema", ["framescale/1", "framescale/2"])
+def test_non_finite_scaling_is_malformed(repaired, field, schema):
+    report, audit = repaired
+    if schema == "framescale/1":
+        # A v1 report holds the arrays as float lists; JSON null reads back as NaN.
+        data = json.loads(REPORT_V1.read_text())
+        parent, key = parent_and_key(data, field)
+        parent[key][0] = None
+    else:
+        data = report_to_dict(report, audit)
+        parent, key = parent_and_key(data, field)
+        values = np.frombuffer(base64.b64decode(parent[key]), dtype="<f8").copy()
+        values[0] = np.nan
+        parent[key] = base64.b64encode(values.tobytes()).decode("ascii")
+    with pytest.raises(ValueError, match=f"malformed report: {field} holds a non-finite value"):
         report_from_dict(data)
