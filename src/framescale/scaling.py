@@ -22,9 +22,11 @@ Hadamard square has rank at most r = d(d+1)/2: (G o G)_ij = K_i . K_j, where
 K_i is the upper triangle of y_i y_i^T with off-diagonal entries scaled by
 sqrt(2). The Newton system is therefore a diagonal matrix plus a term of
 rank r + 1 (the extra column pins the gauge direction 1), and for n > r + 1
-it is solved exactly through the Woodbury identity in O(n r^2 + r^3) time
-and O(n r) memory. Frames with n <= r + 1 are solved densely; both paths
-give the same Newton direction up to rounding.
+it is solved exactly through the Woodbury identity in O(n r^2 + r^3) time,
+with the factor held in one (r+1) x n buffer and no n x r temporary.
+Frames with n <= r + 1 are solved densely, with the system assembled in
+the single n x n matrix Y Y^T; both paths give the same Newton direction
+up to rounding.
 
 The solver is damped Newton with an Armijo backtracking line search and a
 gradient-descent fallback; convergence is declared only after the residual
@@ -233,32 +235,43 @@ def _newton_direction(Y: np.ndarray, g: np.ndarray) -> np.ndarray:
     entries sum to zero. With G o G = K K^T the system matrix is
     D + U S U^T for D = diag(q) + 1e-14 I, U = [K, 1/sqrt(n)] and
     S = diag(-1, ..., -1, tau). When n > r + 1 it is solved through the
-    Woodbury identity with one (r+1) x (r+1) capacitance system, never
-    forming an n x n matrix; otherwise densely. Raises LinAlgError when the
-    system is singular.
+    Woodbury identity with one (r+1) x (r+1) capacitance system: the
+    transposed factor V^T is filled slab by slab in a single (r+1) x n
+    buffer, so no n x r temporary and no n x n matrix is formed.
+    Otherwise the system is assembled in place in the one n x n buffer of
+    Y Y^T and solved densely. Raises LinAlgError when the system is
+    singular.
     """
     n, d = Y.shape
     q = (Y**2).sum(axis=1)
     tau = max(float(q.sum() - q @ q) / n, 1e-14)
-    rows, cols = np.triu_indices(d)
-    r = rows.size
+    r = d * (d + 1) // 2
     if n <= r + 1:
-        G = Y @ Y.T
-        reg = np.diag(q) - G * G + tau / n
+        # Same operations, in the same order, as diag(q) - G o G + tau/n + 1e-14 I.
+        reg = Y @ Y.T
+        np.square(reg, out=reg)
+        np.negative(reg, out=reg)
+        reg.flat[:: n + 1] += q
+        reg += tau / n
         reg.flat[:: n + 1] += 1e-14
         return -np.linalg.solve(reg, g)
     # V = D^{-1/2} U, so that D + U S U^T = D^{1/2} (I + V S V^T) D^{1/2}.
+    # Slab a of V^T holds coordinate a times coordinates b >= a of the
+    # scaled rows, the rows with b > a times sqrt(2): the order of triu_indices(d).
     root = 1.0 / np.sqrt(q + 1e-14)
-    Yr = Y * np.sqrt(root)[:, None]
-    V = np.empty((n, r + 1))
-    np.multiply(Yr[:, rows], Yr[:, cols], out=V[:, :r])
-    V[:, :r] *= np.where(rows == cols, 1.0, np.sqrt(2.0))
-    V[:, r] = root / np.sqrt(n)
-    capacitance = V.T @ V
+    Yt = np.multiply(Y.T, np.sqrt(root), order="C")
+    Vt = np.empty((r + 1, n))
+    off = 0
+    for a in range(d):
+        np.multiply(Yt[a], Yt[a:], out=Vt[off : off + d - a])
+        Vt[off + 1 : off + d - a] *= np.sqrt(2.0)
+        off += d - a
+    Vt[r] = root / np.sqrt(n)
+    capacitance = Vt @ Vt.T
     capacitance[np.arange(r), np.arange(r)] -= 1.0
     capacitance[r, r] += 1.0 / tau
     x = root * g
-    return -root * (x - V @ np.linalg.solve(capacitance, V.T @ x))
+    return -root * (x - np.linalg.solve(capacitance, Vt @ x) @ Vt)
 
 
 def _diagnose_blocking(frame: Frame, c) -> tuple[int, ...] | None:
@@ -291,9 +304,10 @@ def solve_radial_isotropic(
     Each iteration whitens the rows once (Y = images * sqrt(c e^t)), reads
     the gradient off their squared norms and takes the Newton direction
     from ``_newton_direction``: through Woodbury on the rank-r factor K of
-    G o G when n > d(d+1)/2 + 1, so time is O(n d^4 + d^6) and memory
-    O(n d^2), and by a dense n x n solve otherwise. A singular system or a
-    non-descent direction falls back to -g.
+    G o G when n > d(d+1)/2 + 1, so time is O(n d^4 + d^6) and memory one
+    (d(d+1)/2 + 1) x n buffer, and otherwise by a dense solve of a single
+    n x n matrix. A singular system or a non-descent direction falls back
+    to -g.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")

@@ -17,11 +17,16 @@ cannot be encoded raises ValueError. Reports are written in schema
 shapes (n, d), (n, d), (n,) and (d, d) taken from the ``d``/``n`` fields
 beside them. The output frame stays a nested float list, which the
 benchmark's tamper check edits as a list, and standalone frame files
-keep nested lists. ``read_report`` also loads ``framescale/1`` reports,
-where every array is a nested list, and whitespace is part of neither
-schema. A report stores no isotropy residual; it reads back as ``None``,
-and ``reverify`` recomputes it from the frames. A non-finite entry of
-``scaling.t`` or ``scaling.A`` makes a report malformed in either schema.
+keep nested lists. ``write_report`` encodes the output frame straight
+from its float64 array; orjson prints each element exactly as it prints
+the float, so the bytes equal those of the nested-list form that
+``report_to_dict`` returns. ``read_report`` also loads ``framescale/1``
+reports, where every array is a nested list, and whitespace is part of
+neither schema. A report stores no isotropy residual; it reads back as
+``None``, and ``reverify`` recomputes it from the frames. A non-finite
+entry of ``scaling.t`` or ``scaling.A`` makes a report malformed in either
+schema. An infinite ``scaling.residual_inf`` or
+``scaling.stationarity_gap`` is written as ``null`` and reads back as inf.
 """
 
 from __future__ import annotations
@@ -46,7 +51,8 @@ _CSV_HEADER = re.compile(r"#\s*frame\s+d=(\d+)\s+n=(\d+)\s*$")
 
 def encode_json(payload, what: str, indent: bool = False) -> bytes:
     """``payload`` as JSON bytes with a final newline; ValueError if it cannot be encoded."""
-    option = orjson.OPT_APPEND_NEWLINE | (orjson.OPT_INDENT_2 if indent else 0)
+    option = orjson.OPT_APPEND_NEWLINE | orjson.OPT_SERIALIZE_NUMPY
+    option |= orjson.OPT_INDENT_2 if indent else 0
     try:
         return orjson.dumps(payload, option=option)
     except orjson.JSONEncodeError as exc:
@@ -172,6 +178,11 @@ def _scaling_to_dict(solution: ScalingSolution, d: int, encode=_pack) -> dict:
     }
 
 
+def _float_or_inf(value) -> float:
+    """A stored float; JSON ``null``, which is how an infinite value is written, reads as inf."""
+    return math.inf if value is None else float(value)
+
+
 def _scaling_from_dict(data: dict, n: int, packed: bool) -> ScalingSolution:
     d = int(data["d"])
     if packed:
@@ -187,10 +198,10 @@ def _scaling_from_dict(data: dict, n: int, packed: bool) -> ScalingSolution:
         t=t,
         A=A,
         residual=None,
-        residual_inf=float(data["residual_inf"]),
+        residual_inf=_float_or_inf(data["residual_inf"]),
         iterations=int(data["iterations"]),
         converged=bool(data["converged"]),
-        stationarity_gap=float(data.get("stationarity_gap", 0.0)),
+        stationarity_gap=_float_or_inf(data.get("stationarity_gap", 0.0)),
     )
 
 
@@ -212,6 +223,12 @@ def audit_to_dict(audit: AuditRecord) -> dict:
 
 
 def report_to_dict(report: RepairReport, audit: AuditRecord | None = None) -> dict:
+    """The report as a dict of plain JSON values, the output frame as a nested float list."""
+    return _report_to_dict(report, audit, np.ndarray.tolist)
+
+
+def _report_to_dict(report: RepairReport, audit: AuditRecord | None, encode_output) -> dict:
+    output = report.output_frame
     data = {
         "schema": REPORT_SCHEMA,
         "d": report.d,
@@ -225,7 +242,7 @@ def report_to_dict(report: RepairReport, audit: AuditRecord | None = None) -> di
         "frames": {
             "input": _packed_frame_to_dict(report.input_frame),
             "perturbed": _packed_frame_to_dict(report.perturbed_frame),
-            "output": frame_to_dict(report.output_frame),
+            "output": {"d": output.d, "n": output.n, "vectors": encode_output(output.vectors)},
         },
         "distances": {
             "vw": report.dist_sq_vw,
@@ -302,7 +319,9 @@ def _report_from_dict(data: dict) -> RepairReport:
 
 
 def write_report(path: str | Path, report: RepairReport, audit: AuditRecord | None = None) -> None:
-    Path(path).write_bytes(encode_json(report_to_dict(report, audit), "report"))
+    # orjson encodes only C-contiguous arrays; a Frame keeps the order it was built with.
+    data = _report_to_dict(report, audit, np.ascontiguousarray)
+    Path(path).write_bytes(encode_json(data, "report"))
 
 
 def read_report(path: str | Path) -> RepairReport:

@@ -104,6 +104,12 @@ def test_overflowing_stored_t_is_uncertified(tmp_path, capsys):
     assert not payload["scaling"]["converged"]
     assert not payload["certified"]
     assert payload["stored_certified"]
+    # The infinite gap is stored as JSON null, and the audit's own output reads back.
+    assert payload["scaling"]["stationarity_gap"] is None
+    capsys.readouterr()
+    code = main(["audit", "--input", str(audit_path), "--output", str(tmp_path / "b.json")])
+    assert code == EXIT_CERTIFICATION
+    assert stderr_error(capsys)["type"] == "certification"
 
 
 @pytest.mark.parametrize("seed, code", [(2**64 - 1, EXIT_OK), (2**64, EXIT_CONFIG)])

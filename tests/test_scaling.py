@@ -191,9 +191,21 @@ class TestSolve:
 
 
 class TestNewtonDirection:
-    # (3, 40) has n > d(d+1)/2 + 1 and takes the low-rank path; (6, 12) is dense.
-    @pytest.mark.parametrize("d, n", [(3, 40), (6, 12)])
-    @pytest.mark.parametrize("spread", [0.0, 1.5])
+    # (3, 40), (8, 64) and (16, 200) have n > d(d+1)/2 + 1 and take the
+    # low-rank path; (6, 12) is dense. Spread 4.0 puts t near the polytope
+    # boundary, where the system's condition number reaches 1e5 to 3e6.
+    @pytest.mark.parametrize(
+        "spread, d, n",
+        [
+            (0.0, 3, 40),
+            (0.0, 6, 12),
+            (1.5, 3, 40),
+            (1.5, 6, 12),
+            (4.0, 3, 40),
+            (4.0, 8, 64),
+            (4.0, 16, 200),
+        ],
+    )
     def test_matches_dense_hessian_solve(self, d, n, spread):
         rng = np.random.default_rng(15)
         frame = random_generic_frame(rng, d, n)
@@ -206,6 +218,24 @@ class TestNewtonDirection:
         expected = -np.linalg.solve(reg, g)
         p = _newton_direction(_whitened(frame.vectors, c, t), g)
         assert np.linalg.norm(p - expected) <= 1e-9 * np.linalg.norm(expected)
+
+    # The low-rank path holds one (r+1) x n buffer, the dense path one n x n.
+    @pytest.mark.parametrize("d, n", [(16, 4096), (64, 256)])
+    def test_step_peak_memory_is_one_buffer(self, d, n):
+        rng = np.random.default_rng(4)
+        frame = random_generic_frame(rng, d, n)
+        c = uniform_coefficients(d, n)
+        Y = _whitened(frame.vectors, c, rng.standard_normal(n) * 0.5)
+        g = (Y**2).sum(axis=1) - c
+        r = d * (d + 1) // 2
+        buffer_bytes = 8 * n * ((r + 1) if n > r + 1 else n)
+        tracemalloc.start()
+        try:
+            _newton_direction(Y, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * buffer_bytes
 
     def test_large_frame_solved_in_small_memory(self):
         d, n = 16, 4096

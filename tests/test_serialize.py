@@ -8,6 +8,7 @@ import pytest
 
 from framescale import Frame, audit_lemma_chain, generate_enpf, perturb_frame, repair, reverify
 from framescale.serialize import (
+    encode_json,
     frame_to_dict,
     read_frame,
     read_report,
@@ -84,6 +85,27 @@ def test_report_crosses_codecs_bit_exact(tmp_path, repaired):
         assert_bit_equal(getattr(loaded, name).vectors, getattr(report, name).vectors)
     for name in ("t", "A"):
         assert_bit_equal(getattr(loaded.scaling, name), getattr(report.scaling, name))
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_written_report_equals_nested_list_encoding(tmp_path, repaired, order):
+    # write_report encodes the output frame from its array; the bytes must not change.
+    report, audit = repaired
+    output = Frame(np.asarray(report.output_frame.vectors, order=order))
+    report = dataclasses.replace(report, output_frame=output)
+    path = tmp_path / "report.json"
+    write_report(path, report, audit)
+    assert path.read_bytes() == encode_json(report_to_dict(report, audit), "report")
+
+
+def test_array_encodes_as_its_nested_list():
+    bits = np.random.default_rng(9).integers(0, 2**64, size=32_000, dtype=np.uint64)
+    values = bits.view(np.float64)
+    values = values[np.isfinite(values)]
+    values[:8] = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+                  1.0 / 3.0, 2.2250738585072014e-308]
+    array = values[: values.size // 8 * 8].reshape(-1, 8)
+    assert encode_json(array, "array") == encode_json(array.tolist(), "array")
 
 
 def test_report_round_trip_is_bit_exact(tmp_path, repaired):
