@@ -13,11 +13,9 @@ from .frames import (
 )
 from .majorization import majorizes, transport_distance
 from .polytope import (
-    MembershipResult,
     all_d_subsets_independent,
     basis_polytope_membership,
     numerical_rank,
-    shrunk_polytope_membership,
     uniform_coefficients,
 )
 from .repair import (
@@ -57,11 +55,9 @@ __all__ = [
     "renormalize",
     "majorizes",
     "transport_distance",
-    "MembershipResult",
     "all_d_subsets_independent",
     "basis_polytope_membership",
     "numerical_rank",
-    "shrunk_polytope_membership",
     "uniform_coefficients",
     "AuditCheck",
     "AuditRecord",

@@ -20,11 +20,7 @@ from itertools import product
 from pathlib import Path
 
 from .frames import frame_metrics, generate_enpf, perturb_frame
-from .polytope import (
-    basis_polytope_membership,
-    shrunk_polytope_membership,
-    uniform_coefficients,
-)
+from .polytope import MAX_POLYTOPE_N, basis_polytope_membership, uniform_coefficients
 from .repair import audit_lemma_chain, repair, reverify
 from .scaling import DEFAULT_MAX_ITER, ScalingConvergenceError, solve_radial_isotropic
 from .seeding import derive_seed
@@ -62,7 +58,6 @@ class RunConfig:
     n: tuple[str, ...] = ()
     eps: tuple[float, ...] = ()
     delta: float = _DEFAULT_DELTA
-    alpha: float | None = None
     seed: int = 0
     max_iter: int = DEFAULT_MAX_ITER
     format: str = "json"
@@ -145,17 +140,11 @@ def _cmd_repair(cfg: RunConfig) -> int:
 
 def _cmd_polytope(cfg: RunConfig) -> int:
     frame = read_frame(cfg.input)
-    c = uniform_coefficients(frame.d, frame.n)
-    if cfg.alpha is None:
-        result = basis_polytope_membership(frame, c)
-    else:
-        result = shrunk_polytope_membership(frame, c, cfg.alpha)
+    violation = basis_polytope_membership(frame, uniform_coefficients(frame.d, frame.n))
     _emit(
         {
-            "in_polytope": result.in_polytope,
-            "violating_subset": list(result.violating_subset)
-            if result.violating_subset is not None
-            else None,
+            "in_polytope": violation is None,
+            "violating_subset": None if violation is None else list(violation),
         },
         cfg.output,
     )
@@ -192,6 +181,10 @@ def _cmd_audit(cfg: RunConfig) -> int:
 def _cmd_bench(cfg: RunConfig) -> int:
     if cfg.output is None:
         raise ValueError("bench requires --output")
+    if cfg.reps < 1:
+        raise ValueError(f"--reps must be at least 1, got {cfg.reps}")
+    if not (cfg.d and cfg.n and cfg.eps):
+        raise ValueError("--d, --n and --eps must each list at least one value")
     rows = []
     failures = 0
     cell = 0
@@ -296,9 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
     add("repair", "repair a frame and write the certified report",
         input=True, output_required=True, seed=True, delta=True, max_iter=True, format=True)
 
-    p = add("polytope", "basis/shrunk polytope membership for uniform coefficients",
-            input=True, output=True)
-    p.add_argument("--alpha", type=float, default=None)
+    add("polytope", "exact basis polytope membership of uniform coefficients, "
+        f"by subset enumeration (n <= {MAX_POLYTOPE_N})", input=True, output=True)
 
     add("solve-rip", "compute the radial isotropic scaling of a frame",
         input=True, output=True, delta=True, max_iter=True)
@@ -332,7 +324,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         n=split(getattr(args, "n", None), str),
         eps=split(getattr(args, "eps", None), float),
         delta=getattr(args, "delta", _DEFAULT_DELTA),
-        alpha=getattr(args, "alpha", None),
         seed=getattr(args, "seed", 0),
         max_iter=getattr(args, "max_iter", DEFAULT_MAX_ITER),
         format=getattr(args, "format", "json"),
@@ -367,6 +358,7 @@ def main(argv=None) -> int:
             str(exc),
             blocking_subset=list(exc.blocking_subset) if exc.blocking_subset else None,
             iterations=exc.iterations,
+            residual_inf=exc.residual_inf,
         )
         return EXIT_NO_CONVERGENCE
     except (ValueError, RuntimeError, OSError) as exc:

@@ -1,20 +1,14 @@
-"""Membership tests for the basis polytope of a frame and its shrunk form.
+"""Membership test for the basis polytope of a frame, and general position.
 
 The basis polytope B(U) of vectors u_1..u_n consists of the nonnegative
 coefficient vectors c with sum c_i = d such that for every subset A of
-indices, dim span{u_i : i in A} >= sum_{i in A} c_i. The shrunk polytope
-(1-alpha) B(U) additionally requires 0 <= c_i <= 1 and, for every
-nonnegative direction u with minimum entry zero,
-
-    (1 - alpha) * max_{v in B(U)} u^T v >= u^T c.
-
-Both sides of that directional condition are positively homogeneous and
-linear on each permutation cone, whose extreme rays (given u >= 0 with
-u_min = 0) are indicators of proper subsets; it therefore suffices to
-check every proper subset S with (1 - alpha) * rank(S) >= sum_{i in S} c_i.
-The tests cross-validate that reduction on random directions against the
-support function max_{v in B(U)} u^T v, evaluated by the matroid greedy
-rule in their own oracle.
+indices, dim span{u_i : i in A} >= sum_{i in A} c_i. Radial isotropic
+scaling with respect to c exists exactly when c lies in B(U). A failing
+scaling solve reads a blocking subset off its last iterate, but cannot
+decide points near the boundary; ``basis_polytope_membership`` decides
+membership exactly by enumerating subsets. The tests cross-validate it
+on random directions against the support function max_{v in B(U)} u^T v,
+evaluated by the matroid greedy rule in their own oracle.
 
 These tests certify hypotheses of downstream solvers, so they refuse
 oversized instances instead of approximating.
@@ -23,7 +17,6 @@ oversized instances instead of approximating.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -45,21 +38,13 @@ SUBSET_CAP = 10**6
 _COEFF_SUM_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class MembershipResult:
-    """Outcome of a polytope membership test with an optional certificate."""
-
-    in_polytope: bool
-    violating_subset: tuple[int, ...] | None
-
-
 def uniform_coefficients(d: int, n: int) -> np.ndarray:
     """The coefficient vector with every entry d/n."""
     return np.full(n, d / n)
 
 
-def validate_coefficients(c, d: int, n: int, *, box: bool = False) -> np.ndarray:
-    """Check sum-to-d, nonnegativity and (optionally) the 0 <= c_i <= 1 box."""
+def validate_coefficients(c, d: int, n: int) -> np.ndarray:
+    """Check that c has n nonnegative entries summing to d."""
     ca = np.asarray(c, dtype=float).ravel()
     if ca.size != n:
         raise ValueError(f"coefficient vector has length {ca.size}, expected {n}")
@@ -67,8 +52,6 @@ def validate_coefficients(c, d: int, n: int, *, box: bool = False) -> np.ndarray
         raise ValueError("coefficients must be nonnegative")
     if abs(float(ca.sum()) - d) > _COEFF_SUM_TOL * max(1.0, d):
         raise ValueError(f"coefficients must sum to d={d}, got {ca.sum()!r}")
-    if box and np.any(ca > 1.0 + _COEFF_SUM_TOL):
-        raise ValueError("coefficients must satisfy c_i <= 1")
     return ca
 
 
@@ -80,23 +63,20 @@ def numerical_rank(vectors: np.ndarray, rtol: float = RANK_RTOL) -> int:
     return int(np.count_nonzero(sigma > rtol * sigma[0]))
 
 
-def _check_size(n: int) -> None:
-    if n > MAX_POLYTOPE_N:
-        raise ValueError(
-            f"subset enumeration refused for n={n} > {MAX_POLYTOPE_N}; "
-            "membership would be approximate"
-        )
-
-
-def basis_polytope_membership(frame: Frame, c) -> MembershipResult:
+def basis_polytope_membership(frame: Frame, c) -> tuple[int, ...] | None:
     """Brute-force test of c in B(U) over all nonempty subsets.
 
-    Subsets are visited depth-first in lexicographic order, so the
-    violating subset returned (0-based indices) is deterministic. Once a
-    subset reaches full rank d its supersets cannot violate (subset sums
-    never exceed d) and the subtree is pruned.
+    Returns None when c lies in B(U), and otherwise a violating subset
+    (0-based indices). Subsets are visited depth-first in lexicographic
+    order, so that subset is deterministic. Once a subset reaches full
+    rank d its supersets cannot violate (subset sums never exceed d) and
+    the subtree is pruned. Refuses frames with n > ``MAX_POLYTOPE_N``.
     """
-    _check_size(frame.n)
+    if frame.n > MAX_POLYTOPE_N:
+        raise ValueError(
+            f"subset enumeration refused for n={frame.n} > {MAX_POLYTOPE_N}; "
+            "membership would be approximate"
+        )
     ca = validate_coefficients(c, frame.d, frame.n)
     vecs = frame.vectors
     d, n = frame.d, frame.n
@@ -119,55 +99,7 @@ def basis_polytope_membership(frame: Frame, c) -> MembershipResult:
             chosen.pop()
         return None
 
-    violation = descend(0, 0.0)
-    return MembershipResult(in_polytope=violation is None, violating_subset=violation)
-
-
-def shrunk_polytope_membership(frame: Frame, c, alpha: float) -> MembershipResult:
-    """Test c in (1-alpha) B(U) via proper-subset enumeration.
-
-    At a full-rank subset the subtree reduces to a closed form: among its
-    proper supersets the coefficient sum is maximized by excluding only
-    the cheapest remaining index, so one comparison settles the subtree.
-    """
-    if not 0.0 <= alpha < 1.0:
-        raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
-    _check_size(frame.n)
-    ca = validate_coefficients(c, frame.d, frame.n, box=True)
-    vecs = frame.vectors
-    d, n = frame.d, frame.n
-    total_mass = float(ca.sum())
-    shrink = 1.0 - alpha
-    chosen: list[int] = []
-
-    def descend(start: int, csum: float) -> tuple[int, ...] | None:
-        for i in range(start, n):
-            chosen.append(i)
-            total = csum + ca[i]
-            if len(chosen) < n:
-                rank = numerical_rank(vecs[chosen])
-                if total > shrink * rank + _VIOLATION_TOL:
-                    found = tuple(chosen)
-                    chosen.pop()
-                    return found
-                if rank < d:
-                    found = descend(i + 1, total)
-                    if found is not None:
-                        chosen.pop()
-                        return found
-                elif len(chosen) < n - 1:
-                    remaining = [j for j in range(n) if j not in chosen]
-                    cheapest = min(remaining, key=lambda j: ca[j])
-                    worst = total_mass - ca[cheapest]
-                    if worst > shrink * d + _VIOLATION_TOL:
-                        found = tuple(j for j in range(n) if j != cheapest)
-                        chosen.pop()
-                        return found
-            chosen.pop()
-        return None
-
-    violation = descend(0, 0.0)
-    return MembershipResult(in_polytope=violation is None, violating_subset=violation)
+    return descend(0, 0.0)
 
 
 def all_d_subsets_independent(frame: Frame, max_subsets: int = SUBSET_CAP) -> bool:

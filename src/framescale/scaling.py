@@ -11,7 +11,9 @@ A = M(t*)^{-1/2} then places the frame in radial isotropic position. The
 potential is invariant under t -> t + s 1 (when sum c_i = d), so iterates
 are gauge-fixed to sum t_i = 0. The minimum exists exactly when c lies in
 the basis polytope of U; outside it the iterates escape to infinity along
-a blocking subset, which the solver diagnoses.
+a blocking subset S with sum_{i in S} c_i > dim span S, whose t_i run
+ahead of the rest. A failing solve reads S off its last iterate in one
+O(n d^2) scan (``_blocking_prefix``).
 
 Everything the solver needs comes from the whitened rows
 y_i = sqrt(c_i e^{t_i}) M(t)^{-1/2} u_i. Their Gram matrix G = Y Y^T is the
@@ -43,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frames import Frame
-from .polytope import MAX_POLYTOPE_N, basis_polytope_membership, validate_coefficients
+from .polytope import _VIOLATION_TOL, RANK_RTOL, numerical_rank, validate_coefficients
 
 DEFAULT_MAX_ITER = 200
 
@@ -52,11 +54,6 @@ DEFAULT_MAX_ITER = 200
 _ARMIJO_C = 1e-4
 _ARMIJO_NOISE = 4e-16
 _MAX_HALVINGS = 60
-
-# Under gauge fixing, a finite minimizer exists iff c is in the basis
-# polytope; a gauge-fixed iterate beyond this magnitude means escape.
-_DIVERGENCE_OFFSET = 50.0
-_DIVERGENCE_SLOPE = 10.0
 
 # Converged solutions must also satisfy the stationarity identity
 # e^{t_i} ||A u_i||^2 = 1 within this multiple of delta.
@@ -94,8 +91,12 @@ class DiagonalScaling:
 class ScalingConvergenceError(RuntimeError):
     """Raised when the scaling solver cannot reach the requested residual.
 
-    Carries the last iterate and, when brute force is feasible, the subset
-    of indices blocking membership of c in the basis polytope.
+    Carries the last iterate, its residual and the blocking subset read
+    off that iterate: indices whose coefficient sum exceeds the dimension
+    of their span, which proves c outside the basis polytope. The subset
+    is None when the scan finds none: c may then lie inside the polytope,
+    or outside near its boundary, which ``basis_polytope_membership``
+    decides for n <= 20.
     """
 
     def __init__(
@@ -274,14 +275,38 @@ def _newton_direction(Y: np.ndarray, g: np.ndarray) -> np.ndarray:
     return -root * (x - np.linalg.solve(capacitance, Vt @ x) @ Vt)
 
 
-def _diagnose_blocking(frame: Frame, c) -> tuple[int, ...] | None:
-    if frame.n > MAX_POLYTOPE_N:
-        return None
-    try:
-        result = basis_polytope_membership(frame, c)
-    except ValueError:
-        return None
-    return result.violating_subset
+def _blocking_prefix(vecs: np.ndarray, c: np.ndarray, t: np.ndarray) -> tuple[int, ...] | None:
+    """A subset S with sum_{i in S} c_i > dim span S, read off the iterate t.
+
+    Outside the basis polytope the iterates escape along a blocking subset,
+    whose t_i run ahead of the rest, so the scan visits indices by
+    decreasing t (stable sort) and grows an orthonormal basis of the
+    prefix's span one Gram-Schmidt step at a time, orthogonalizing twice.
+    It stops at the first prefix whose coefficient sum exceeds its rank by
+    more than ``_VIOLATION_TOL`` and returns it sorted, once
+    ``numerical_rank`` confirms the violation; otherwise it returns None.
+    O(n d^2) time.
+    """
+    d = vecs.shape[1]
+    order = np.argsort(-t, kind="stable")
+    basis = np.empty((0, d))
+    csum = 0.0
+    for k, i in enumerate(order):
+        u = vecs[i]
+        r = u - (basis @ u) @ basis
+        r -= (basis @ r) @ basis
+        norm = float(np.linalg.norm(r))
+        if norm > RANK_RTOL * float(np.linalg.norm(u)):
+            basis = np.vstack([basis, r / norm])
+        if len(basis) == d:  # a full-rank prefix cannot violate: its c-sum is at most d
+            return None
+        csum += c[i]
+        if csum > len(basis) + _VIOLATION_TOL:
+            subset = np.sort(order[: k + 1])
+            if csum > numerical_rank(vecs[subset]) + _VIOLATION_TOL:
+                return tuple(int(j) for j in subset)
+            return None
+    return None
 
 
 def solve_radial_isotropic(
@@ -298,8 +323,11 @@ def solve_radial_isotropic(
     beforehand with the polytope module at enumerable sizes. ``repair``
     does not: past its exhaustive cap it passes the renormalized frame
     here unperturbed, and the residual re-measured here and its
-    a-posteriori certificate decide. On failure raises
-    ScalingConvergenceError with a divergence diagnosis.
+    a-posteriori certificate decide. The solve fails when M(t) becomes
+    singular or overflows, or after ``max_iter`` iterations, and then
+    raises ScalingConvergenceError with the blocking subset of the last
+    iterate, if the scan finds one. Raises ValueError for delta <= 0 or
+    max_iter < 0.
 
     Each iteration whitens the rows once (Y = images * sqrt(c e^t)), reads
     the gradient off their squared norms and takes the Newton direction
@@ -311,6 +339,8 @@ def solve_radial_isotropic(
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be nonnegative, got {max_iter}")
     ca = validate_coefficients(c, frame.d, frame.n)
     vecs = frame.vectors
     n = frame.n
@@ -319,19 +349,17 @@ def solve_radial_isotropic(
     else:
         t = _as_t(frame, t0).copy()
         t -= t.mean()
-    escape = _DIVERGENCE_OFFSET + _DIVERGENCE_SLOPE * np.log(n * frame.d)
 
     def fail(reason: str, resid: float, iterations: int) -> ScalingConvergenceError:
-        blocking = _diagnose_blocking(frame, ca)
+        blocking = _blocking_prefix(vecs, ca, t)
         hint = (
-            f" blocking subset {list(blocking)}"
+            f"c lies outside the basis polytope: blocking subset {list(blocking)}"
             if blocking is not None
-            else " (no blocking subset found at this size)"
+            else "no blocking subset found in the last iterate"
         )
         extreme = int(np.argmax(np.abs(t)))
         return ScalingConvergenceError(
-            f"{reason}; likely c outside the basis polytope:{hint}; "
-            f"t diverges at index {extreme} (t_i = {t[extreme]:.3g})",
+            f"{reason}; {hint}; largest |t_i| at index {extreme} (t_i = {t[extreme]:.3g})",
             t=t.copy(),
             residual_inf=resid,
             iterations=iterations,
@@ -360,8 +388,6 @@ def solve_radial_isotropic(
                 converged=True,
                 stationarity_gap=stationarity,
             )
-        if float(np.abs(t).max()) > escape:
-            raise fail("iterates escaped to infinity", resid, iterations)
         if iterations >= max_iter:
             raise fail(f"no convergence within {max_iter} iterations", resid, iterations)
 

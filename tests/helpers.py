@@ -99,6 +99,18 @@ def random_generic_frame(rng: np.random.Generator, d: int, n: int) -> Frame:
     return Frame(rng.standard_normal((n, d)))
 
 
+def planted_frame(rng: np.random.Generator, d: int, n: int, s: int) -> tuple[Frame, int]:
+    """Gaussian frame whose first k = floor(s n / d) + 1 vectors span only s dimensions.
+
+    Uniform coefficients put k d / n > s on those k vectors, so the frame
+    lies strictly outside the basis polytope of uniform c. Returns (frame, k).
+    """
+    k = s * n // d + 1
+    vectors = rng.standard_normal((n, d))
+    vectors[:k] = rng.standard_normal((k, s)) @ rng.standard_normal((s, d))
+    return Frame(vectors), k
+
+
 def mercedes_frame() -> Frame:
     """Three unit-spaced directions in the plane, scaled to an exact ENPF."""
     k = np.arange(3)

@@ -139,12 +139,57 @@ def test_missing_input_is_config_error(tmp_path, capsys):
 
 
 def test_solve_rip_reports_blocking_subset(tmp_path, capsys):
+    # By default M(t) turns singular and the infinite residual is written as
+    # null; stopped after one iteration, the residual is finite.
     path = tmp_path / "degenerate.csv"
     path.write_text("# frame d=2 n=3\n1,0\n1,0\n0,1\n")
-    assert main(["solve-rip", "--input", str(path)]) == EXIT_NO_CONVERGENCE
+    for extra, residual_inf in (([], None), (["--max-iter", "1"], 1 / 3)):
+        assert main(["solve-rip", "--input", str(path), *extra]) == EXIT_NO_CONVERGENCE
+        error = stderr_error(capsys)
+        assert error["type"] == "no_convergence"
+        assert error["blocking_subset"] == [0, 1]
+        assert error["residual_inf"] == pytest.approx(residual_inf)
+
+
+def write_csv_frame(path, rows) -> str:
+    path.write_text(f"# frame d={len(rows[0])} n={len(rows)}\n"
+                    + "".join(",".join(map(str, row)) + "\n" for row in rows))
+    return str(path)
+
+
+@pytest.mark.parametrize("rows, expected", [
+    ([[1, 0], [0, 1], [1, 1]], {"in_polytope": True, "violating_subset": None}),
+    ([[1, 0], [2, 0], [0, 1]], {"in_polytope": False, "violating_subset": [0, 1]}),
+], ids=["triple", "parallel"])
+def test_polytope_reports_membership(tmp_path, rows, expected):
+    path = write_csv_frame(tmp_path / "frame.csv", rows)
+    out = tmp_path / "polytope.json"
+    assert main(["polytope", "--input", path, "--output", str(out)]) == EXIT_OK
+    assert json.loads(out.read_text()) == expected
+
+
+@pytest.mark.parametrize("n, extra", [(21, []), (3, ["--alpha", "0.1"])], ids=["n_21", "alpha"])
+def test_polytope_refusals_are_config_errors(tmp_path, capsys, n, extra):
+    rows = [[1, 0], [0, 1], *[[1, k] for k in range(1, n - 1)]]
+    path = write_csv_frame(tmp_path / "frame.csv", rows)
+    assert main(["polytope", "--input", path, *extra]) == EXIT_CONFIG
+    assert stderr_error(capsys)["type"] == "config"
+
+
+@pytest.mark.parametrize("command", ["solve-rip", "repair"])
+def test_negative_max_iter_is_config_error(tmp_path, capsys, command):
+    frame_path, report_path = tmp_path / "frame.json", tmp_path / "report.json"
+    assert main(["generate", "--output", str(frame_path), "--seed", "3", "--d", "3",
+                 "--n", "7", "--eps", "1e-2"]) == EXIT_OK
+    args = [command, "--input", str(frame_path), "--max-iter", "-1"]
+    if command == "repair":
+        args += ["--output", str(report_path), "--seed", "3"]
+    capsys.readouterr()
+    assert main(args) == EXIT_CONFIG
     error = stderr_error(capsys)
-    assert error["type"] == "no_convergence"
-    assert error["blocking_subset"] == [0, 1]
+    assert error["type"] == "config"
+    assert "max_iter" in error["message"]
+    assert not report_path.exists()
 
 
 def read_bench(path, fmt: str) -> list[dict]:
@@ -193,3 +238,18 @@ def test_bench_records_non_convergence_and_continues(tmp_path, monkeypatch):
     assert all(row["error"] == "no convergence; blocking subset [0, 1]" for row in rows)
     assert all(float(row["repair_s"]) >= 0 for row in rows)
     assert not any(row["certified"] for row in rows)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize(
+    "grid",
+    [["--reps", "0"], ["--reps", "-2"], ["--d", ""], ["--n", ""], ["--eps", ""]],
+    ids=["reps_0", "reps_-2", "no_d", "no_n", "no_eps"],
+)
+def test_bench_rejects_an_empty_grid(tmp_path, capsys, fmt, grid):
+    out = tmp_path / f"bench.{fmt}"
+    code = main(["bench", "--output", str(out), "--seed", "0", "--d", "2", "--n", "2d",
+                 "--eps", "1e-2", "--reps", "1", "--format", fmt, *grid])
+    assert code == EXIT_CONFIG
+    assert stderr_error(capsys)["type"] == "config"
+    assert not out.exists()

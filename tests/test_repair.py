@@ -186,8 +186,9 @@ class TestRepair:
         n = 634
         vectors = np.zeros((n, 2))
         vectors[:318, 0] = vectors[318:, 1] = math.sqrt(2 / n)
-        with pytest.raises(ScalingConvergenceError, match="basis polytope"):
+        with pytest.raises(ScalingConvergenceError, match="basis polytope") as info:
             repair(Frame(vectors), 1e-9, seed=0)
+        assert info.value.blocking_subset == tuple(range(318))
 
     def test_rejects_square_frames(self):
         with pytest.raises(ValueError):

@@ -6,10 +6,12 @@ import pytest
 from framescale import (
     Frame,
     ScalingConvergenceError,
+    basis_polytope_membership,
     diagonalize_transform,
     dist_sq,
     generate_enpf,
     isotropy_residual,
+    numerical_rank,
     perturb_frame,
     renormalize,
     scaling_gradient,
@@ -19,11 +21,19 @@ from framescale import (
     uniform_coefficients,
 )
 
+from framescale.polytope import _VIOLATION_TOL
 from framescale.scaling import _newton_direction, _whitened
-from helpers import cofactor_det, fd_gradient, random_generic_frame
+from helpers import cofactor_det, fd_gradient, planted_frame, random_generic_frame
 
 IDENTITY2 = Frame(np.eye(2))
 DEGENERATE = Frame(np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+
+
+def assert_violates(frame: Frame, c: np.ndarray, subset) -> None:
+    """The subset's coefficient sum exceeds the dimension of its span."""
+    assert subset is not None
+    rows = list(subset)
+    assert c[rows].sum() > numerical_rank(frame.vectors[rows]) + _VIOLATION_TOL
 
 
 def random_instance(rng, d, n):
@@ -188,6 +198,31 @@ class TestSolve:
     def test_bad_delta_rejected(self):
         with pytest.raises(ValueError):
             solve_radial_isotropic(IDENTITY2, np.ones(2), 0.0)
+
+
+class TestBlockingSubset:
+    # Solves are capped at 10 iterations: outside the polytope some run all
+    # 200 default iterations before they give up, at up to 1 s each.
+    def test_scan_finds_a_violation_wherever_brute_force_does(self):
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            d = int(rng.integers(2, 5))
+            n = int(rng.integers(d + 1, 13))
+            frame, _ = planted_frame(rng, d, n, int(rng.integers(1, d)))
+            c = uniform_coefficients(d, n)
+            assert basis_polytope_membership(frame, c) is not None
+            with pytest.raises(ScalingConvergenceError, match="outside the basis polytope") as info:
+                solve_radial_isotropic(frame, c, 1e-9, max_iter=10)
+            assert_violates(frame, c, info.value.blocking_subset)
+
+    @pytest.mark.parametrize("d, n, s", [(4, 40, 1), (8, 200, 3), (16, 400, 4)])
+    def test_planted_subset_found_past_enumeration_cap(self, d, n, s):
+        frame, k = planted_frame(np.random.default_rng(d), d, n, s)
+        c = uniform_coefficients(d, n)
+        with pytest.raises(ScalingConvergenceError) as info:
+            solve_radial_isotropic(frame, c, 1e-9, max_iter=10)
+        assert_violates(frame, c, info.value.blocking_subset)
+        assert set(info.value.blocking_subset) <= set(range(k))
 
 
 class TestNewtonDirection:
