@@ -15,13 +15,12 @@ import os
 import re
 import sys
 import time
-from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
 
 from .frames import frame_metrics, generate_enpf, perturb_frame
 from .polytope import MAX_POLYTOPE_N, basis_polytope_membership, uniform_coefficients
-from .repair import audit_lemma_chain, repair, reverify
+from .repair import EPS_INPUT_MAX, audit_lemma_chain, repair, reverify
 from .scaling import DEFAULT_MAX_ITER, ScalingConvergenceError, solve_radial_isotropic
 from .seeding import derive_seed
 from .serialize import (
@@ -45,23 +44,6 @@ EXIT_NO_CONVERGENCE = 3
 _DEFAULT_DELTA = 1e-9
 
 _N_SPEC = re.compile(r"^(\d*)d(?:([+-])(\d+))?$")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved arguments for one subcommand invocation."""
-
-    command: str
-    input: Path | None = None
-    output: Path | None = None
-    d: tuple[int, ...] = ()
-    n: tuple[str, ...] = ()
-    eps: tuple[float, ...] = ()
-    delta: float = _DEFAULT_DELTA
-    seed: int = 0
-    max_iter: int = DEFAULT_MAX_ITER
-    format: str = "json"
-    reps: int = 1
 
 
 def _emit(payload: dict, output: Path | None) -> None:
@@ -90,22 +72,21 @@ def _resolve_n(spec: str, d: int) -> int:
     return coeff * d + offset
 
 
-def _cmd_generate(cfg: RunConfig) -> int:
-    if cfg.output is None:
-        raise ValueError("generate requires --output")
-    (d,), (n_spec,) = cfg.d, cfg.n
-    frame = generate_enpf(d, _resolve_n(n_spec, d), cfg.seed)
-    if cfg.eps and cfg.eps[0] > 0:
-        frame = perturb_frame(frame, cfg.eps[0], cfg.seed)
-    write_frame(cfg.output, frame, cfg.format)
-    log.info("wrote frame d=%d n=%d to %s", frame.d, frame.n, cfg.output)
+def _cmd_generate(args: argparse.Namespace) -> int:
+    if not args.eps >= 0:
+        raise ValueError(f"--eps must be nonnegative, got {args.eps}")
+    frame = generate_enpf(args.d, _resolve_n(args.n, args.d), args.seed)
+    if args.eps > 0:
+        frame = perturb_frame(frame, args.eps, args.seed)
+    write_frame(args.output, frame, args.format)
+    log.info("wrote frame d=%d n=%d to %s", frame.d, frame.n, args.output)
     return EXIT_OK
 
 
-def _cmd_analyze(cfg: RunConfig) -> int:
-    frame = read_frame(cfg.input)
+def _cmd_analyze(args: argparse.Namespace) -> int:
+    frame = read_frame(args.input)
     metrics = frame_metrics(frame)
-    _emit({"d": frame.d, "n": frame.n, **metrics_to_dict(metrics)}, cfg.output)
+    _emit({"d": frame.d, "n": frame.n, **metrics_to_dict(metrics)}, args.output)
     return EXIT_OK
 
 
@@ -114,15 +95,13 @@ def _frame_sibling(report_path: Path, fmt: str) -> Path:
     return report_path.with_name(report_path.stem + suffix)
 
 
-def _cmd_repair(cfg: RunConfig) -> int:
-    if cfg.output is None:
-        raise ValueError("repair requires --output")
-    frame = read_frame(cfg.input)
-    report = repair(frame, cfg.delta, cfg.seed, max_iter=cfg.max_iter)
+def _cmd_repair(args: argparse.Namespace) -> int:
+    frame = read_frame(args.input)
+    report = repair(frame, args.delta, args.seed, max_iter=args.max_iter)
     audit = audit_lemma_chain(report)
-    write_report(cfg.output, report, audit)
-    frame_path = _frame_sibling(cfg.output, cfg.format)
-    write_frame(frame_path, report.output_frame, cfg.format)
+    write_report(args.output, report, audit)
+    frame_path = _frame_sibling(args.output, args.format)
+    write_frame(frame_path, report.output_frame, args.format)
     log.info(
         "repair d=%d n=%d eps=%.3g: dist^2=%.3g bound=%.3g certified=%s",
         report.d, report.n, report.eps, report.dist_sq_vw, report.bound, report.certified,
@@ -138,35 +117,35 @@ def _cmd_repair(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_polytope(cfg: RunConfig) -> int:
-    frame = read_frame(cfg.input)
+def _cmd_polytope(args: argparse.Namespace) -> int:
+    frame = read_frame(args.input)
     violation = basis_polytope_membership(frame, uniform_coefficients(frame.d, frame.n))
     _emit(
         {
             "in_polytope": violation is None,
             "violating_subset": None if violation is None else list(violation),
         },
-        cfg.output,
+        args.output,
     )
     return EXIT_OK
 
 
-def _cmd_solve_rip(cfg: RunConfig) -> int:
-    frame = read_frame(cfg.input)
+def _cmd_solve_rip(args: argparse.Namespace) -> int:
+    frame = read_frame(args.input)
     c = uniform_coefficients(frame.d, frame.n)
-    solution = solve_radial_isotropic(frame, c, cfg.delta, max_iter=cfg.max_iter)
-    _emit(scaling_to_dict(solution, frame.d), cfg.output)
+    solution = solve_radial_isotropic(frame, c, args.delta, max_iter=args.max_iter)
+    _emit(scaling_to_dict(solution, frame.d), args.output)
     return EXIT_OK
 
 
-def _cmd_audit(cfg: RunConfig) -> int:
-    stored = read_report(cfg.input)
+def _cmd_audit(args: argparse.Namespace) -> int:
+    stored = read_report(args.input)
     fresh = reverify(stored)
     audit = audit_lemma_chain(fresh)
     payload = report_to_dict(fresh, audit)
     payload["stored_certified"] = stored.certified
     payload["verdict_matches_stored"] = fresh.certified == stored.certified
-    _emit(payload, cfg.output)
+    _emit(payload, args.output)
     if not (fresh.certified and audit.passed):
         _error(
             "certification",
@@ -178,24 +157,28 @@ def _cmd_audit(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_bench(cfg: RunConfig) -> int:
-    if cfg.output is None:
-        raise ValueError("bench requires --output")
-    if cfg.reps < 1:
-        raise ValueError(f"--reps must be at least 1, got {cfg.reps}")
-    if not (cfg.d and cfg.n and cfg.eps):
+def _cmd_bench(args: argparse.Namespace) -> int:
+    # Every cell is checked before the first repair, so a bad cell costs no work.
+    if args.reps < 1:
+        raise ValueError(f"--reps must be at least 1, got {args.reps}")
+    if not (args.d and args.n and args.eps):
         raise ValueError("--d, --n and --eps must each list at least one value")
+    grid = [(d, _resolve_n(n_spec, d), eps_target)
+            for d, n_spec, eps_target in product(args.d, args.n, args.eps)]
+    for d, n, eps_target in grid:
+        if not 0 < d < n:
+            raise ValueError(f"bench cells need 0 < d < n, got d={d}, n={n}")
+        if not 0.0 < eps_target < EPS_INPUT_MAX:
+            raise ValueError(f"--eps targets must lie in (0, {EPS_INPUT_MAX}), got {eps_target}")
     rows = []
     failures = 0
-    cell = 0
-    for d, n_spec, eps_target in product(cfg.d, cfg.n, cfg.eps):
-        n = _resolve_n(n_spec, d)
-        for rep in range(cfg.reps):
-            seed = derive_seed(cfg.seed, 4, cell, rep)
+    for cell, (d, n, eps_target) in enumerate(grid):
+        for rep in range(args.reps):
+            seed = derive_seed(args.seed, 4, cell, rep)
             frame = perturb_frame(generate_enpf(d, n, seed), eps_target, seed)
             start = time.perf_counter()
             try:
-                report = repair(frame, cfg.delta, seed, max_iter=cfg.max_iter)
+                report = repair(frame, args.delta, seed, max_iter=args.max_iter)
                 error = ""
             except RuntimeError as exc:
                 # A cell that cannot be repaired (a ScalingConvergenceError
@@ -211,7 +194,7 @@ def _cmd_bench(cfg: RunConfig) -> int:
                     "n": n,
                     "eps_target": eps_target,
                     "eps": report.eps if ok else None,
-                    "delta": cfg.delta,
+                    "delta": args.delta,
                     "seed": seed,
                     "dist_sq": report.dist_sq_vw if ok else None,
                     "bound": report.bound if ok else None,
@@ -223,10 +206,9 @@ def _cmd_bench(cfg: RunConfig) -> int:
                 }
             )
             failures += 0 if rows[-1]["certified"] else 1
-        cell += 1
-    if cfg.format == "csv":
+    if args.format == "csv":
         # csv quotes the error messages, which may hold commas, and writes None as "".
-        with cfg.output.open("w", newline="") as handle:
+        with args.output.open("w", newline="") as handle:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(rows[0].keys())
             for row in rows:
@@ -234,8 +216,8 @@ def _cmd_bench(cfg: RunConfig) -> int:
                     format(v, ".17g") if isinstance(v, float) else v for v in row.values()
                 )
     else:
-        cfg.output.write_bytes(encode_json(rows, "bench rows", indent=True))
-    log.info("bench wrote %d rows to %s (%d failures)", len(rows), cfg.output, failures)
+        args.output.write_bytes(encode_json(rows, "bench rows", indent=True))
+    log.info("bench wrote %d rows to %s (%d failures)", len(rows), args.output, failures)
     if failures:
         _error("certification", f"{failures} of {len(rows)} bench rows failed or were not certified")
         return EXIT_CERTIFICATION
@@ -251,6 +233,16 @@ _COMMANDS = {
     "audit": _cmd_audit,
     "bench": _cmd_bench,
 }
+
+
+def _comma_list(cast):
+    """An argparse ``type`` reading a comma-separated list, each entry cast."""
+
+    def parse(value: str) -> tuple:
+        return tuple(cast(part.strip()) for part in value.split(",") if part.strip())
+
+    parse.__name__ = f"comma-separated {cast.__name__} list"
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -300,44 +292,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("bench", "sweep a (d, n, eps) grid of repairs and tabulate ratios",
             output_required=True, seed=True, delta=True, max_iter=True, format=True)
-    p.add_argument("--d", default="2,4")
-    p.add_argument("--n", default="2d+1,3d")
-    p.add_argument("--eps", default="1e-2,1e-3")
+    p.add_argument("--d", type=_comma_list(int), default="2,4")
+    p.add_argument("--n", type=_comma_list(str), default="2d+1,3d")
+    p.add_argument("--eps", type=_comma_list(float), default="1e-2,1e-3")
     p.add_argument("--reps", type=int, default=3)
 
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    def split(value, cast):
-        if value is None:
-            return ()
-        if isinstance(value, (int, float)):
-            return (cast(value),)
-        return tuple(cast(part.strip()) for part in str(value).split(",") if part.strip())
-
-    return RunConfig(
-        command=args.command,
-        input=getattr(args, "input", None),
-        output=getattr(args, "output", None),
-        d=split(getattr(args, "d", None), int),
-        n=split(getattr(args, "n", None), str),
-        eps=split(getattr(args, "eps", None), float),
-        delta=getattr(args, "delta", _DEFAULT_DELTA),
-        seed=getattr(args, "seed", 0),
-        max_iter=getattr(args, "max_iter", DEFAULT_MAX_ITER),
-        format=getattr(args, "format", "json"),
-        reps=getattr(args, "reps", 1),
-    )
-
-
-def run(cfg: RunConfig) -> int:
-    """Execute one resolved configuration; returns the process exit code."""
-    if cfg.delta <= 0:
+def run(args: argparse.Namespace) -> int:
+    """Execute one parsed command line; returns the process exit code."""
+    if getattr(args, "delta", _DEFAULT_DELTA) <= 0:
         raise ValueError("--delta must be positive")
-    if cfg.input is not None and not cfg.input.exists():
-        raise ValueError(f"input file not found: {cfg.input}")
-    return _COMMANDS[cfg.command](cfg)
+    if getattr(args, "input", None) is not None and not args.input.exists():
+        raise ValueError(f"input file not found: {args.input}")
+    return _COMMANDS[args.command](args)
 
 
 def main(argv=None) -> int:
@@ -351,7 +320,7 @@ def main(argv=None) -> int:
         _error("config", "argument parsing failed")
         return EXIT_CONFIG
     try:
-        return run(_config_from_args(args))
+        return run(args)
     except ScalingConvergenceError as exc:
         _error(
             "no_convergence",

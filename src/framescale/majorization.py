@@ -36,32 +36,32 @@ def _pair(x, y) -> tuple[np.ndarray, np.ndarray]:
     return xa, ya
 
 
-def majorization_rows(x, y, tol: float = MAJORIZATION_TOL) -> tuple[np.ndarray, np.ndarray]:
+def majorization_rows(x, y) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise majorization flags and transport distances of paired rows.
 
     ``x`` and ``y`` have equal shape (..., d); every quantity is taken
     along the last axis. Row r of x majorizes row r of y when its prefix
     sums dominate and the totals agree, both with the slack
-    ``tol * (1 + ||x_r||_1)``; the transport of row r is
+    ``MAJORIZATION_TOL * (1 + ||x_r||_1)``; the transport of row r is
     T(x_r, y_r) = sum_j j (y_rj - x_rj). Returns the boolean flags and the transports, each of shape (...).
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     px = np.cumsum(x, axis=-1)
     py = np.cumsum(y, axis=-1)
-    slack = tol * (1.0 + np.abs(x).sum(axis=-1))
+    slack = MAJORIZATION_TOL * (1.0 + np.abs(x).sum(axis=-1))
     totals_agree = np.abs(px[..., -1] - py[..., -1]) <= slack
     flags = totals_agree & np.all(px >= py - slack[..., None], axis=-1)
     j = np.arange(1, x.shape[-1] + 1, dtype=float)
     return flags, (j * (y - x)).sum(axis=-1)
 
 
-def majorizes(x, y, tol: float = MAJORIZATION_TOL) -> bool:
+def majorizes(x, y) -> bool:
     """True iff x majorizes y: prefix sums dominate and totals agree.
 
-    Both checks use the slack ``tol * (1 + ||x||_1)``.
+    Both checks use the slack ``MAJORIZATION_TOL * (1 + ||x||_1)``.
     """
-    flag, _ = majorization_rows(*_pair(x, y), tol)
+    flag, _ = majorization_rows(*_pair(x, y))
     return bool(flag)
 
 

@@ -55,12 +55,12 @@ def validate_coefficients(c, d: int, n: int) -> np.ndarray:
     return ca
 
 
-def numerical_rank(vectors: np.ndarray, rtol: float = RANK_RTOL) -> int:
+def numerical_rank(vectors: np.ndarray) -> int:
     """Rank of the span of the given row vectors via singular values."""
     sigma = np.linalg.svd(np.atleast_2d(vectors), compute_uv=False)
     if sigma.size == 0 or sigma[0] == 0.0:
         return 0
-    return int(np.count_nonzero(sigma > rtol * sigma[0]))
+    return int(np.count_nonzero(sigma > RANK_RTOL * sigma[0]))
 
 
 def basis_polytope_membership(frame: Frame, c) -> tuple[int, ...] | None:

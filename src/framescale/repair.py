@@ -240,7 +240,7 @@ def repair(
     solution = solve_radial_isotropic(
         perturbed, uniform_coefficients(d, n), delta_solver, max_iter=max_iter
     )
-    images = perturbed.vectors @ solution.A.T
+    images = _images(perturbed, solution.A)
     norms = np.sqrt((images**2).sum(axis=1))
     output = Frame(math.sqrt(d / n) * images / norms[:, None])
     return _certify(
@@ -256,12 +256,10 @@ def reverify(stored: RepairReport) -> RepairReport:
     parameters (delta, seed, budget) are taken from the stored report.
     """
     V, U, A = stored.input_frame, stored.perturbed_frame, stored.scaling.A
-    J, resid, gap, converged = _isotropy_test(
+    _, resid, gap, converged = _isotropy_test(
         _images(U, A), uniform_coefficients(V.d, V.n), stored.scaling.t, stored.delta_solver
     )
-    scaling = replace(
-        stored.scaling, residual=J, residual_inf=resid, converged=converged, stationarity_gap=gap
-    )
+    scaling = replace(stored.scaling, residual_inf=resid, converged=converged, stationarity_gap=gap)
     return _certify(
         V,
         frame_metrics(V),

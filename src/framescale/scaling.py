@@ -15,6 +15,13 @@ a blocking subset S with sum_{i in S} c_i > dim span S, whose t_i run
 ahead of the rest. A failing solve reads S off its last iterate in one
 O(n d^2) scan (``_blocking_prefix``).
 
+One routine, ``_scaling_state``, builds the state of an iterate: M(t)
+with its overflow check, A = M(t)^{-1/2} with its positive-definite check,
+and the rows U A^T (row i is A u_i). The solver loop, the gradient and the
+Hessian share it. ``_images`` forms the same U A^T from a given A, for
+the output frame of ``repair`` and the re-check of ``reverify``, so a
+re-check reproduces the solver's residual and stationarity gap bit for bit.
+
 Everything the solver needs comes from the whitened rows
 y_i = sqrt(c_i e^{t_i}) M(t)^{-1/2} u_i. Their Gram matrix G = Y Y^T is the
 orthogonal projector onto the row space of the weighted vectors; the
@@ -64,16 +71,14 @@ STATIONARITY_FACTOR = 10.0
 class ScalingSolution:
     """Transformation placing a frame in radial isotropic position.
 
-    ``residual`` is J = sum_i c_i w_i w_i^T - I for the renormalized
-    vectors w_i = A u_i / ||A u_i||, recomputed at the returned iterate,
-    or ``None`` on a solution read back from a report, which does not
-    store J (``reverify`` recomputes it); ``residual_inf`` is the largest
-    entry of J in absolute value.
+    ``residual_inf`` is the largest entry, in absolute value, of
+    J = sum_i c_i w_i w_i^T - I for the renormalized vectors
+    w_i = A u_i / ||A u_i||, measured at the returned iterate;
+    ``isotropy_residual`` returns J itself.
     """
 
     t: np.ndarray
     A: np.ndarray
-    residual: np.ndarray | None
     residual_inf: float
     iterations: int
     converged: bool
@@ -145,17 +150,30 @@ def scaling_potential(frame: Frame, c, t) -> float:
     return float(logdet - ca @ ta)
 
 
-def _inverse_sqrt(M: np.ndarray) -> np.ndarray:
+def _scaling_state(
+    vecs: np.ndarray, c: np.ndarray, t: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """M(t), A = M(t)^{-1/2} and the rows vecs @ A.T of the iterate t.
+
+    Raises LinAlgError "weighted sum overflowed" when M(t) has a
+    non-finite entry and "weighted sum M(t) became singular" when it is
+    not positive definite.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        M = _weighted_sum(vecs, c, t)
+    if not np.all(np.isfinite(M)):
+        raise np.linalg.LinAlgError("weighted sum overflowed")
     eigs, Q = np.linalg.eigh(M)
     if eigs[0] <= 0 or not np.all(np.isfinite(eigs)):
-        raise np.linalg.LinAlgError("matrix not positive definite")
-    return (Q / np.sqrt(eigs)) @ Q.T
+        raise np.linalg.LinAlgError("weighted sum M(t) became singular")
+    A = (Q / np.sqrt(eigs)) @ Q.T
+    return M, A, vecs @ A.T
 
 
 def _whitened(vecs: np.ndarray, c: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Rows y_i = sqrt(c_i e^{t_i}) M(t)^{-1/2} u_i; raises LinAlgError if M is singular."""
-    A = _inverse_sqrt(_weighted_sum(vecs, c, t))
-    return (vecs @ A) * np.sqrt(c * np.exp(t))[:, None]
+    """Rows y_i = sqrt(c_i e^{t_i}) A u_i; raises LinAlgError if M(t) overflows or is singular."""
+    _, _, images = _scaling_state(vecs, c, t)
+    return images * np.sqrt(c * np.exp(t))[:, None]
 
 
 def scaling_gradient(frame: Frame, c, t) -> np.ndarray:
@@ -314,7 +332,6 @@ def solve_radial_isotropic(
     c,
     delta: float,
     max_iter: int = DEFAULT_MAX_ITER,
-    t0=None,
 ) -> ScalingSolution:
     """Find A with sum_i c_i (A u_i/||A u_i||)(A u_i/||A u_i||)^T = I + J,
     ||J||_inf <= delta.
@@ -329,10 +346,12 @@ def solve_radial_isotropic(
     iterate, if the scan finds one. Raises ValueError for delta <= 0 or
     max_iter < 0.
 
-    Each iteration whitens the rows once (Y = images * sqrt(c e^t)), reads
-    the gradient off their squared norms and takes the Newton direction
-    from ``_newton_direction``: through Woodbury on the rank-r factor K of
-    G o G when n > d(d+1)/2 + 1, so time is O(n d^4 + d^6) and memory one
+    The iterates start at t = 0. Each iteration builds the state of t with
+    ``_scaling_state``, tests the rows U A^T for convergence, whitens them
+    once (Y = images * sqrt(c e^t)), reads the gradient off their squared
+    norms and takes the Newton direction from ``_newton_direction``:
+    through Woodbury on the rank-r factor K of G o G when
+    n > d(d+1)/2 + 1, so time is O(n d^4 + d^6) and memory one
     (d(d+1)/2 + 1) x n buffer, and otherwise by a dense solve of a single
     n x n matrix. A singular system or a non-descent direction falls back
     to -g.
@@ -343,12 +362,7 @@ def solve_radial_isotropic(
         raise ValueError(f"max_iter must be nonnegative, got {max_iter}")
     ca = validate_coefficients(c, frame.d, frame.n)
     vecs = frame.vectors
-    n = frame.n
-    if t0 is None:
-        t = np.zeros(n)
-    else:
-        t = _as_t(frame, t0).copy()
-        t -= t.mean()
+    t = np.zeros(frame.n)
 
     def fail(reason: str, resid: float, iterations: int) -> ScalingConvergenceError:
         blocking = _blocking_prefix(vecs, ca, t)
@@ -368,21 +382,15 @@ def solve_radial_isotropic(
 
     iterations = 0
     while True:
-        with np.errstate(over="ignore", invalid="ignore"):
-            M = _weighted_sum(vecs, ca, t)
-        if not np.all(np.isfinite(M)):
-            raise fail("weighted sum overflowed", float("inf"), iterations)
         try:
-            A = _inverse_sqrt(M)
-        except np.linalg.LinAlgError:
-            raise fail("weighted sum M(t) became singular", float("inf"), iterations)
-        images = vecs @ A
-        J, resid, stationarity, converged = _isotropy_test(images, ca, t, delta)
+            M, A, images = _scaling_state(vecs, ca, t)
+        except np.linalg.LinAlgError as exc:
+            raise fail(str(exc), float("inf"), iterations) from None
+        _, resid, stationarity, converged = _isotropy_test(images, ca, t, delta)
         if converged:
             return ScalingSolution(
                 t=t.copy(),
                 A=A,
-                residual=J,
                 residual_inf=resid,
                 iterations=iterations,
                 converged=True,

@@ -22,8 +22,8 @@ from its float64 array; orjson prints each element exactly as it prints
 the float, so the bytes equal those of the nested-list form that
 ``report_to_dict`` returns. ``read_report`` also loads ``framescale/1``
 reports, where every array is a nested list, and whitespace is part of
-neither schema. A report stores no isotropy residual; it reads back as
-``None``, and ``reverify`` recomputes it from the frames. A non-finite
+neither schema. A report stores the largest isotropy residual entry,
+not the matrix J; ``reverify`` recomputes it from the frames. A non-finite
 entry of ``scaling.t`` or ``scaling.A`` makes a report malformed in either
 schema. An infinite ``scaling.residual_inf`` or
 ``scaling.stationarity_gap`` is written as ``null`` and reads back as inf.
@@ -197,7 +197,6 @@ def _scaling_from_dict(data: dict, n: int, packed: bool) -> ScalingSolution:
     return ScalingSolution(
         t=t,
         A=A,
-        residual=None,
         residual_inf=_float_or_inf(data["residual_inf"]),
         iterations=int(data["iterations"]),
         converged=bool(data["converged"]),

@@ -131,6 +131,21 @@ def test_seed_must_fit_in_64_bits(tmp_path, capsys, seed, code):
     assert json.loads(audit_path.read_text())["seed"] == seed
 
 
+@pytest.mark.parametrize("eps, code", [("-0.1", EXIT_CONFIG), ("nan", EXIT_CONFIG), ("0", EXIT_OK)])
+def test_generate_rejects_a_negative_eps(tmp_path, capsys, eps, code):
+    frame_path = tmp_path / "frame.json"
+    assert main(["generate", "--output", str(frame_path), "--seed", "3", "--d", "3",
+                 "--n", "2d", "--eps", eps]) == code
+    if code == EXIT_OK:
+        assert main(["analyze", "--input", str(frame_path)]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["eps"] < 1e-12
+        return
+    error = stderr_error(capsys)
+    assert error["type"] == "config"
+    assert "--eps" in error["message"]
+    assert not frame_path.exists()
+
+
 def test_missing_input_is_config_error(tmp_path, capsys):
     assert main(["analyze"]) == EXIT_CONFIG
     assert stderr_error(capsys)["type"] == "config"
@@ -247,6 +262,25 @@ def test_bench_records_non_convergence_and_continues(tmp_path, monkeypatch):
     ids=["reps_0", "reps_-2", "no_d", "no_n", "no_eps"],
 )
 def test_bench_rejects_an_empty_grid(tmp_path, capsys, fmt, grid):
+    out = tmp_path / f"bench.{fmt}"
+    code = main(["bench", "--output", str(out), "--seed", "0", "--d", "2", "--n", "2d",
+                 "--eps", "1e-2", "--reps", "1", "--format", fmt, *grid])
+    assert code == EXIT_CONFIG
+    assert stderr_error(capsys)["type"] == "config"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize(
+    "grid",
+    [["--d", "2,4", "--n", "3"], ["--eps", "1e-2,0"], ["--eps", "0.9"], ["--eps", "1e-2,0.5"]],
+    ids=["n_not_above_d", "eps_zero", "eps_0.9", "eps_half"],
+)
+def test_bench_checks_the_whole_grid_before_repairing(tmp_path, capsys, monkeypatch, fmt, grid):
+    def no_repair(*args, **kwargs):
+        pytest.fail("bench repaired a cell before checking the whole grid")
+
+    monkeypatch.setattr(cli, "repair", no_repair)
     out = tmp_path / f"bench.{fmt}"
     code = main(["bench", "--output", str(out), "--seed", "0", "--d", "2", "--n", "2d",
                  "--eps", "1e-2", "--reps", "1", "--format", fmt, *grid])

@@ -296,9 +296,7 @@ class TestReverify:
         assert fresh.eps == pytest.approx(report.eps)
         assert fresh.dist_sq_vw == pytest.approx(report.dist_sq_vw)
         assert fresh.scaling.converged
-        # Frames, scalars and budget are bit-equal. J, its largest entry and the
-        # stationarity gap may move in the last bits: the solver forms U A and
-        # reverify U A^T, and A is not bitwise symmetric.
+        # Frames, scalars, budget and the solver's own numbers are bit-equal.
         for f in dataclasses.fields(report):
             value, again = getattr(report, f.name), getattr(fresh, f.name)
             if isinstance(value, Frame):
@@ -307,9 +305,7 @@ class TestReverify:
                 assert again == value, f.name
         for f in dataclasses.fields(report.scaling):
             value, again = getattr(report.scaling, f.name), getattr(fresh.scaling, f.name)
-            if f.name in ("residual", "residual_inf", "stationarity_gap"):
-                np.testing.assert_allclose(again, value, rtol=0, atol=1e-12, err_msg=f.name)
-            elif isinstance(value, np.ndarray):
+            if isinstance(value, np.ndarray):
                 np.testing.assert_array_equal(again, value, err_msg=f.name)
             else:
                 assert again == value, f.name
@@ -326,6 +322,17 @@ class TestReverify:
         with pytest.raises(ValueError, match="A u_i = 0 at index 0"):
             reverify(stored)
 
+    # (3, 9) takes the low-rank Newton step and (6, 12) the dense one.
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("d, n", [(3, 9), (6, 12)])
+    def test_stored_report_reproduces_solver_numbers(self, tmp_path, d, n, seed):
+        report = repair(perturbed_instance(d, n, 1e-2, seed), 1e-9, seed=seed)
+        path = tmp_path / "report.json"
+        write_report(path, report)
+        fresh = reverify(read_report(path))
+        assert fresh.scaling.residual_inf == report.scaling.residual_inf
+        assert fresh.scaling.stationarity_gap == report.scaling.stationarity_gap
+
     def test_tampered_output_detected(self):
         frame = perturbed_instance(3, 9, 1e-2, seed=12)
         report = repair(frame, 1e-9, seed=12)
@@ -340,13 +347,13 @@ class TestReverify:
         path = tmp_path / "report.json"
         write_report(path, report)
         loaded = read_report(path)
-        assert loaded.scaling.residual is None
         in_memory = reverify(report)
         rebuilt = reverify(loaded)
         assert in_memory.certified
         assert rebuilt.certified == in_memory.certified
         assert rebuilt.dist_sq_vw == in_memory.dist_sq_vw
-        np.testing.assert_array_equal(rebuilt.scaling.residual, in_memory.scaling.residual)
+        assert rebuilt.scaling.residual_inf == in_memory.scaling.residual_inf
+        assert rebuilt.scaling.stationarity_gap == in_memory.scaling.stationarity_gap
         assert audit_lemma_chain(rebuilt).passed
 
         data = json.loads(path.read_text())
