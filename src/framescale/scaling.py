@@ -171,8 +171,16 @@ def _scaling_state(
 
 
 def _whitened(vecs: np.ndarray, c: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Rows y_i = sqrt(c_i e^{t_i}) A u_i; raises LinAlgError if M(t) overflows or is singular."""
-    _, _, images = _scaling_state(vecs, c, t)
+    """Rows y_i = sqrt(c_i e^{t_i}) A u_i.
+
+    Raises ValueError "weighted sum M(t) overflowed" or "weighted sum M(t)
+    is singular", chained to the LinAlgError of ``_scaling_state``.
+    """
+    try:
+        _, _, images = _scaling_state(vecs, c, t)
+    except np.linalg.LinAlgError as exc:
+        cause = "overflowed" if str(exc) == "weighted sum overflowed" else "is singular"
+        raise ValueError(f"weighted sum M(t) {cause}") from exc
     return images * np.sqrt(c * np.exp(t))[:, None]
 
 
@@ -180,10 +188,7 @@ def scaling_gradient(frame: Frame, c, t) -> np.ndarray:
     """Gradient g_i = c_i (e^{t_i} u_i^T M(t)^{-1} u_i - 1); sums to zero."""
     ca = validate_coefficients(c, frame.d, frame.n)
     ta = _as_t(frame, t)
-    try:
-        Y = _whitened(frame.vectors, ca, ta)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("weighted sum M(t) is singular") from exc
+    Y = _whitened(frame.vectors, ca, ta)
     return (Y**2).sum(axis=1) - ca
 
 
@@ -196,10 +201,7 @@ def scaling_hessian(frame: Frame, c, t) -> np.ndarray:
     """
     ca = validate_coefficients(c, frame.d, frame.n)
     ta = _as_t(frame, t)
-    try:
-        Y = _whitened(frame.vectors, ca, ta)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("weighted sum M(t) is singular") from exc
+    Y = _whitened(frame.vectors, ca, ta)
     G = Y @ Y.T
     return np.diag(np.diag(G)) - G * G
 

@@ -16,7 +16,7 @@ from framescale import (
     transport_distance,
 )
 from framescale.majorization import MAJORIZATION_TOL
-from framescale.polytope import numerical_rank
+from framescale.polytope import RANK_RTOL, numerical_rank
 from framescale.repair import _AUDIT_ATOL
 
 
@@ -155,6 +155,28 @@ def audit_per_vector_oracle(report) -> dict[str, tuple[bool, float, float]]:
             2.0 * transport_each,
         ),
     }
+
+
+def subsets_independent_by_svd(frame: Frame) -> bool:
+    """True iff every d-subset has rank d, by one SVD per subset.
+
+    The general-position gate's batched singular-value loop from before its
+    determinant screen, kept as the reference for ``all_d_subsets_independent``.
+    """
+    vecs = frame.vectors
+    batch: list[tuple[int, ...]] = []
+
+    def batch_ok(subsets: list[tuple[int, ...]]) -> bool:
+        sigma = np.linalg.svd(vecs[np.array(subsets)], compute_uv=False)
+        return bool(np.all(sigma[:, -1] > RANK_RTOL * sigma[:, 0]))
+
+    for subset in combinations(range(frame.n), frame.d):
+        batch.append(subset)
+        if len(batch) == 4096:
+            if not batch_ok(batch):
+                return False
+            batch = []
+    return not batch or batch_ok(batch)
 
 
 def polytope_support(frame: Frame, direction) -> float:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,10 +7,18 @@ from framescale import (
     Frame,
     all_d_subsets_independent,
     basis_polytope_membership,
+    generate_enpf,
+    perturb_frame,
+    renormalize,
     uniform_coefficients,
 )
 
-from helpers import planted_frame, polytope_support, random_generic_frame
+from helpers import (
+    planted_frame,
+    polytope_support,
+    random_generic_frame,
+    subsets_independent_by_svd,
+)
 
 TRIPLE = Frame(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
 PARALLEL = Frame(np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 1.0]]))
@@ -61,6 +71,63 @@ class TestAllDSubsets:
     def test_n_below_d_rejected(self):
         with pytest.raises(ValueError):
             all_d_subsets_independent(Frame(np.ones((2, 3))))
+
+    @pytest.mark.parametrize(
+        "frame",
+        [
+            Frame(np.array([[0.0], [1.0]])),
+            Frame(np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])),
+            PARALLEL,
+            Frame(np.array([[1e-170, 0.0], [2e-170, 1e-186], [0.0, 1e-170]])),
+        ],
+        ids=["zero-vector-d1", "two-zero-rows-d2", "parallel", "underflowing-norm"],
+    )
+    def test_dependent_subset_rejected_without_warning(self, frame):
+        # a zero stack has determinant 0 and norm 0, and in the last frame
+        # every squared norm underflows to 0 while the log-determinant stays
+        # finite: the screen must send such subsets to the SVD, not divide by 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not all_d_subsets_independent(frame)
+
+    def test_agrees_with_svd_oracle(self):
+        # planted subsets with sigma_min / sigma_max log-uniform in
+        # [1e-13, 1e-6], and harmonic ENPFs (dependent subsets) plus noise
+        # of the same range, so both verdicts occur near RANK_RTOL
+        rng = np.random.default_rng(15)
+        frames = []
+        for d in range(1, 7):
+            for _ in range(6):
+                n = int(rng.integers(d + 1, d + 5))
+                vecs = rng.standard_normal((n, d))
+                rows = rng.choice(n, size=d, replace=False)
+                u, s, vt = np.linalg.svd(vecs[rows])
+                s[-1] = s[0] * 10.0 ** rng.uniform(-13.0, -6.0)
+                vecs[rows] = (u * s) @ vt
+                frames.append(Frame(vecs))
+        for d, n in [(4, 8), (4, 12), (6, 12), (6, 18), (5, 10)]:
+            for seed in range(2):
+                noise = 10.0 ** rng.uniform(-13.0, -6.0)
+                vecs = generate_enpf(d, n, seed).vectors
+                frames.append(Frame(vecs + noise * rng.standard_normal((n, d))))
+        verdicts = [subsets_independent_by_svd(frame) for frame in frames]
+        assert [all_d_subsets_independent(frame) for frame in frames] == verdicts
+        assert 0 < sum(verdicts) < len(verdicts)
+
+    def test_generic_frame_needs_no_svd(self, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+
+        def counting_svd(*args, **kwargs):
+            calls.append(args[0])
+            return svd(*args, **kwargs)
+
+        frame = renormalize(perturb_frame(generate_enpf(6, 18, 3), 1e-2, 3), 1 / 3)
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        assert all_d_subsets_independent(frame)
+        assert calls == []
+        assert not all_d_subsets_independent(PARALLEL)
+        assert calls
 
 
 class TestSupportFunction:

@@ -135,6 +135,22 @@ class TestHessian:
             assert eigs.min() >= -1e-10
 
 
+class TestWeightedSumErrors:
+    @pytest.mark.parametrize("derivative", [scaling_gradient, scaling_hessian])
+    def test_overflow_named(self, derivative):
+        t = np.full(6, -160.0)
+        t[0] = 800.0
+        with pytest.raises(ValueError, match=r"^weighted sum M\(t\) overflowed$") as info:
+            derivative(generate_enpf(3, 6, 0), uniform_coefficients(3, 6), t)
+        assert str(info.value.__cause__) == "weighted sum overflowed"
+
+    @pytest.mark.parametrize("derivative", [scaling_gradient, scaling_hessian])
+    def test_singular_named(self, derivative):
+        plane = Frame(np.tile([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], (3, 1)))
+        with pytest.raises(ValueError, match=r"^weighted sum M\(t\) is singular$"):
+            derivative(plane, uniform_coefficients(3, 6), np.zeros(6))
+
+
 class TestSolve:
     def test_fixed_point_converges_immediately(self):
         sol = solve_radial_isotropic(IDENTITY2, np.ones(2), 1e-10)
