@@ -310,7 +310,12 @@ def run(args: argparse.Namespace) -> int:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=os.environ.get("FRAMESCALE_LOG", "WARNING").upper())
+    level = os.environ.get("FRAMESCALE_LOG", "WARNING").upper()
+    # basicConfig skips its own level check once the root logger has handlers.
+    if not isinstance(logging.getLevelName(level), int):
+        _error("config", f"unknown FRAMESCALE_LOG level {level!r}")
+        return EXIT_CONFIG
+    logging.basicConfig(level=level)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

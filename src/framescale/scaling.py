@@ -15,12 +15,16 @@ a blocking subset S with sum_{i in S} c_i > dim span S, whose t_i run
 ahead of the rest. A failing solve reads S off its last iterate in one
 O(n d^2) scan (``_blocking_prefix``).
 
-One routine, ``_scaling_state``, builds the state of an iterate: M(t)
-with its overflow check, A = M(t)^{-1/2} with its positive-definite check,
-and the rows U A^T (row i is A u_i). The solver loop, the gradient and the
-Hessian share it. ``_images`` forms the same U A^T from a given A, for
-the output frame of ``repair`` and the re-check of ``reverify``, so a
-re-check reproduces the solver's residual and stationarity gap bit for bit.
+``_potential`` is the one evaluation of f: it builds M(t) and takes
+log det M(t) from its Cholesky factor, and returns +inf where M(t)
+overflows or is not positive definite. The solver's line search calls it
+once per trial point; ``scaling_potential`` checks its arguments and calls
+it. ``_scaling_state`` builds A = M(t)^{-1/2} from ``eigh`` of M(t), with
+its overflow and positive-definite checks, and the rows U A^T (row i is
+A u_i); the solver loop, the gradient and the Hessian share it, and f does
+not depend on it. ``_images`` forms the same U A^T from a given A, for the
+output frame of ``repair`` and the re-check of ``reverify``, so a re-check
+reproduces the solver's residual and stationarity gap bit for bit.
 
 Everything the solver needs comes from the whitened rows
 y_i = sqrt(c_i e^{t_i}) M(t)^{-1/2} u_i. Their Gram matrix G = Y Y^T is the
@@ -132,28 +136,37 @@ def _as_t(frame: Frame, t) -> np.ndarray:
     return ta
 
 
+def _potential(vecs: np.ndarray, c: np.ndarray, t: np.ndarray) -> float:
+    """f(t) = log det M(t) - c . t from the Cholesky factor L of M(t).
+
+    log det M(t) = 2 sum_j log L_jj. Returns +inf when M(t) has a
+    non-finite entry (Cholesky would factor it without raising) or is not
+    numerically positive definite.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        M = _weighted_sum(vecs, c, t)
+    if not np.all(np.isfinite(M)):
+        return float("inf")
+    try:
+        L = np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        return float("inf")
+    return float(2.0 * np.log(np.diagonal(L)).sum() - c @ t)
+
+
 def scaling_potential(frame: Frame, c, t) -> float:
     """Convex potential f(t) = log det M(t) - c . t.
 
-    Returns +inf when the weighted sum M(t) is singular (or numerically
-    indefinite), which happens only off the feasible region.
+    Returns +inf when the weighted sum M(t) overflows or is singular (or
+    numerically indefinite), which happens only off the feasible region.
     """
-    ca = validate_coefficients(c, frame.d, frame.n)
-    ta = _as_t(frame, t)
-    with np.errstate(over="ignore", invalid="ignore"):
-        M = _weighted_sum(frame.vectors, ca, ta)
-        if not np.all(np.isfinite(M)):
-            return float("inf")
-        sign, logdet = np.linalg.slogdet(M)
-    if sign <= 0 or not np.isfinite(logdet):
-        return float("inf")
-    return float(logdet - ca @ ta)
+    return _potential(frame.vectors, validate_coefficients(c, frame.d, frame.n), _as_t(frame, t))
 
 
 def _scaling_state(
     vecs: np.ndarray, c: np.ndarray, t: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """M(t), A = M(t)^{-1/2} and the rows vecs @ A.T of the iterate t.
+) -> tuple[np.ndarray, np.ndarray]:
+    """A = M(t)^{-1/2} and the rows vecs @ A.T of the iterate t.
 
     Raises LinAlgError "weighted sum overflowed" when M(t) has a
     non-finite entry and "weighted sum M(t) became singular" when it is
@@ -167,7 +180,7 @@ def _scaling_state(
     if eigs[0] <= 0 or not np.all(np.isfinite(eigs)):
         raise np.linalg.LinAlgError("weighted sum M(t) became singular")
     A = (Q / np.sqrt(eigs)) @ Q.T
-    return M, A, vecs @ A.T
+    return A, vecs @ A.T
 
 
 def _whitened(vecs: np.ndarray, c: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -177,7 +190,7 @@ def _whitened(vecs: np.ndarray, c: np.ndarray, t: np.ndarray) -> np.ndarray:
     is singular", chained to the LinAlgError of ``_scaling_state``.
     """
     try:
-        _, _, images = _scaling_state(vecs, c, t)
+        _, images = _scaling_state(vecs, c, t)
     except np.linalg.LinAlgError as exc:
         cause = "overflowed" if str(exc) == "weighted sum overflowed" else "is singular"
         raise ValueError(f"weighted sum M(t) {cause}") from exc
@@ -345,18 +358,21 @@ def solve_radial_isotropic(
     a-posteriori certificate decide. The solve fails when M(t) becomes
     singular or overflows, or after ``max_iter`` iterations, and then
     raises ScalingConvergenceError with the blocking subset of the last
-    iterate, if the scan finds one. Raises ValueError for delta <= 0 or
-    max_iter < 0.
+    iterate, if the scan finds one. Raises ValueError for delta <= 0,
+    max_iter < 0 or a zero frame vector.
 
-    The iterates start at t = 0. Each iteration builds the state of t with
-    ``_scaling_state``, tests the rows U A^T for convergence, whitens them
-    once (Y = images * sqrt(c e^t)), reads the gradient off their squared
-    norms and takes the Newton direction from ``_newton_direction``:
-    through Woodbury on the rank-r factor K of G o G when
-    n > d(d+1)/2 + 1, so time is O(n d^4 + d^6) and memory one
+    The iterates start at t = 0. Each iteration builds A and the rows
+    U A^T of t with ``_scaling_state``, tests the rows for convergence,
+    whitens them once (Y = images * sqrt(c e^t)), reads the gradient off
+    their squared norms and takes the Newton direction from
+    ``_newton_direction``: through Woodbury on the rank-r factor K of
+    G o G when n > d(d+1)/2 + 1, so time is O(n d^4 + d^6) and memory one
     (d(d+1)/2 + 1) x n buffer, and otherwise by a dense solve of a single
     n x n matrix. A singular system or a non-descent direction falls back
-    to -g.
+    to -g. The Armijo line search gauge-fixes each trial point and takes
+    its f from ``_potential``, O(n d^2 + d^3) per trial; f at t = 0 is
+    evaluated once before the loop, and the accepted trial's f serves as
+    f0 of the next iteration, so every point's f is computed once.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -364,7 +380,11 @@ def solve_radial_isotropic(
         raise ValueError(f"max_iter must be nonnegative, got {max_iter}")
     ca = validate_coefficients(c, frame.d, frame.n)
     vecs = frame.vectors
+    dead = np.flatnonzero(frame.squared_norms() == 0.0)
+    if dead.size:
+        raise ValueError(f"frame has a zero vector at index {dead[0]}")
     t = np.zeros(frame.n)
+    f0 = _potential(vecs, ca, t)
 
     def fail(reason: str, resid: float, iterations: int) -> ScalingConvergenceError:
         blocking = _blocking_prefix(vecs, ca, t)
@@ -385,7 +405,7 @@ def solve_radial_isotropic(
     iterations = 0
     while True:
         try:
-            M, A, images = _scaling_state(vecs, ca, t)
+            A, images = _scaling_state(vecs, ca, t)
         except np.linalg.LinAlgError as exc:
             raise fail(str(exc), float("inf"), iterations) from None
         _, resid, stationarity, converged = _isotropy_test(images, ca, t, delta)
@@ -411,17 +431,19 @@ def solve_radial_isotropic(
             p = -g
         p -= p.mean()
 
-        f0 = float(np.linalg.slogdet(M)[1] - ca @ t)
+        # The step left after the last halving is taken without the Armijo
+        # test; it is still evaluated, since its f is the next f0.
         noise = _ARMIJO_NOISE * (1.0 + abs(f0))
         slope = float(g @ p)
         step = 1.0
-        for _ in range(_MAX_HALVINGS):
-            trial = scaling_potential(frame, ca, t + step * p)
-            if trial <= f0 + _ARMIJO_C * step * slope + noise:
+        for halvings in range(_MAX_HALVINGS + 1):
+            trial = t + step * p
+            trial -= trial.mean()
+            f_trial = _potential(vecs, ca, trial)
+            if halvings == _MAX_HALVINGS or f_trial <= f0 + _ARMIJO_C * step * slope + noise:
                 break
             step *= 0.5
-        t = t + step * p
-        t -= t.mean()
+        t, f0 = trial, f_trial
         iterations += 1
 
 

@@ -172,6 +172,27 @@ def write_csv_frame(path, rows) -> str:
     return str(path)
 
 
+def test_zero_vector_is_config_error(tmp_path, capsys):
+    path = write_csv_frame(tmp_path / "frame.csv", [[1, 0], [0, 1], [0, 0], [1, 1]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["solve-rip", "--input", path]) == EXIT_CONFIG
+    error = stderr_error(capsys)
+    assert error["type"] == "config"
+    assert "zero vector at index 2" in error["message"]
+
+
+@pytest.mark.parametrize("level, code", [("bogus", EXIT_CONFIG), ("debug", EXIT_OK)])
+def test_log_level_is_checked(tmp_path, capsys, monkeypatch, level, code):
+    monkeypatch.setenv("FRAMESCALE_LOG", level)
+    path = write_csv_frame(tmp_path / "frame.csv", [[1, 0], [0, 1], [1, 1]])
+    assert main(["analyze", "--input", path]) == code
+    if code == EXIT_CONFIG:
+        error = stderr_error(capsys)
+        assert error["type"] == "config"
+        assert "FRAMESCALE_LOG" in error["message"]
+
+
 @pytest.mark.parametrize("rows, expected", [
     ([[1, 0], [0, 1], [1, 1]], {"in_polytope": True, "violating_subset": None}),
     ([[1, 0], [2, 0], [0, 1]], {"in_polytope": False, "violating_subset": [0, 1]}),

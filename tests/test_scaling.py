@@ -20,6 +20,7 @@ from framescale import (
     uniform_coefficients,
 )
 
+from framescale import scaling
 from framescale.polytope import _VIOLATION_TOL
 from framescale.scaling import _newton_direction, _whitened
 from helpers import cofactor_det, fd_gradient, planted_frame, random_generic_frame
@@ -66,6 +67,12 @@ class TestPotential:
     def test_singular_weighted_sum_is_infinite(self):
         collinear = Frame(np.array([[1.0, 0.0], [2.0, 0.0]]))
         assert scaling_potential(collinear, np.ones(2), np.zeros(2)) == np.inf
+
+    def test_overflowing_weighted_sum_is_infinite(self):
+        # e^800 overflows M(t); the potential is +inf, with no warning.
+        t = np.full(6, -160.0)
+        t[0] = 800.0
+        assert scaling_potential(generate_enpf(3, 6, 0), uniform_coefficients(3, 6), t) == np.inf
 
     def test_convexity_probe(self):
         rng = np.random.default_rng(2)
@@ -204,6 +211,39 @@ class TestSolve:
     def test_bad_delta_rejected(self):
         with pytest.raises(ValueError):
             solve_radial_isotropic(IDENTITY2, np.ones(2), 0.0)
+
+    def test_zero_vector_rejected(self):
+        frame = Frame(np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [1.0, 1.0]]))
+        with pytest.raises(ValueError, match="zero vector at index 2"):
+            solve_radial_isotropic(frame, uniform_coefficients(2, 4), 1e-9)
+
+
+class TestOnePotentialKernel:
+    """The solver evaluates f only through ``_potential``: its line search
+    calls neither the public ``scaling_potential`` nor ``slogdet``."""
+
+    @pytest.fixture(autouse=True)
+    def refuse_other_paths(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("f evaluated outside _potential")
+
+        monkeypatch.setattr(scaling, "scaling_potential", refuse)
+        monkeypatch.setattr(np.linalg, "slogdet", refuse)
+
+    def test_perturbed_enpf_converges(self):
+        frame = perturb_frame(generate_enpf(4, 40, seed=0), 1e-2, seed=0)
+        c = uniform_coefficients(4, 40)
+        sol = solve_radial_isotropic(frame, c, 1e-9)
+        assert sol.converged and sol.iterations > 0
+        assert isotropy_residual(frame, c, sol.A)[1] <= 1e-9
+
+    def test_planted_frame_raises_with_its_subset(self):
+        frame, k = planted_frame(np.random.default_rng(8), 8, 200, 2)
+        c = uniform_coefficients(8, 200)
+        with pytest.raises(ScalingConvergenceError) as info:
+            solve_radial_isotropic(frame, c, 1e-9, max_iter=10)
+        assert_violates(frame, c, info.value.blocking_subset)
+        assert set(info.value.blocking_subset) <= set(range(k))
 
 
 class TestBlockingSubset:
