@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import logging
+import math
 import os
 import re
 import sys
@@ -302,8 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(args: argparse.Namespace) -> int:
     """Execute one parsed command line; returns the process exit code."""
-    if getattr(args, "delta", _DEFAULT_DELTA) <= 0:
-        raise ValueError("--delta must be positive")
+    if not 0.0 < getattr(args, "delta", _DEFAULT_DELTA) < math.inf:
+        raise ValueError("--delta must be positive and finite")
     if getattr(args, "input", None) is not None and not args.input.exists():
         raise ValueError(f"input file not found: {args.input}")
     return _COMMANDS[args.command](args)

@@ -29,17 +29,19 @@ import numpy as np
 
 from .frames import Frame
 
-# Relative singular-value threshold for numerical rank. Perturbations used
-# by the repair pipeline sit far above machine noise, so placement is not
-# delicate.
+# Relative singular-value threshold for numerical rank. The repair
+# pipeline's general-position perturbations are at most 10 * RANK_RTOL
+# relative to the vectors' norms, and about 1e-15 at eps = 1e-7, so they
+# cannot be counted on to lift a dependent d-subset past it.
 RANK_RTOL = 1e-9
 
 # Slack for coefficient-sum violations; c sums to d within 1e-10.
 _VIOLATION_TOL = 1e-8
 
-# Hard ceiling on brute-force subset enumeration.
+# Hard ceilings on brute-force subset enumeration: the frame size for
+# basis-polytope membership, and the number of d-subsets for general position.
 MAX_POLYTOPE_N = 20
-SUBSET_CAP = 10**6
+SUBSET_CAP = 200_000
 
 # The general-position screen: d-subsets per batch, and the factor by which
 # a subset's determinant bound must clear RANK_RTOL to skip its SVD.
@@ -56,10 +58,12 @@ def uniform_coefficients(d: int, n: int) -> np.ndarray:
 
 
 def validate_coefficients(c, d: int, n: int) -> np.ndarray:
-    """Check that c has n nonnegative entries summing to d."""
+    """Check that c has n finite, nonnegative entries summing to d."""
     ca = np.asarray(c, dtype=float).ravel()
     if ca.size != n:
         raise ValueError(f"coefficient vector has length {ca.size}, expected {n}")
+    if not np.all(np.isfinite(ca)):
+        raise ValueError("coefficients must be finite")
     if np.any(ca < -_COEFF_SUM_TOL):
         raise ValueError("coefficients must be nonnegative")
     if abs(float(ca.sum()) - d) > _COEFF_SUM_TOL * max(1.0, d):
@@ -114,7 +118,7 @@ def basis_polytope_membership(frame: Frame, c) -> tuple[int, ...] | None:
     return descend(0, 0.0)
 
 
-def all_d_subsets_independent(frame: Frame, max_subsets: int = SUBSET_CAP) -> bool:
+def all_d_subsets_independent(frame: Frame) -> bool:
     """True iff every d-subset of the frame has numerical rank d.
 
     A subset's d x d stack S has rank d when sigma_min > ``RANK_RTOL`` *
@@ -130,14 +134,14 @@ def all_d_subsets_independent(frame: Frame, max_subsets: int = SUBSET_CAP) -> bo
     worst, far inside the margin, so the verdict is the SVD test's on
     every subset. Subsets go in batches of ``_SUBSET_BATCH`` with early
     exit on the first failing batch; instances with more than
-    ``max_subsets`` subsets are refused.
+    ``SUBSET_CAP`` subsets are refused.
     """
     d, n = frame.d, frame.n
     if n < d:
         raise ValueError(f"need n >= d, got n={n}, d={d}")
     count = math.comb(n, d)
-    if count > max_subsets:
-        raise ValueError(f"C({n},{d}) = {count} exceeds the cap of {max_subsets} subsets")
+    if count > SUBSET_CAP:
+        raise ValueError(f"C({n},{d}) = {count} exceeds the cap of {SUBSET_CAP} subsets")
     vecs = frame.vectors
     log_floor = math.log(_SCREEN_MARGIN * RANK_RTOL) - (d - 1) / 2 * math.log(max(d - 1, 1))
     subsets = combinations(range(n), d)

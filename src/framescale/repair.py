@@ -26,7 +26,7 @@ import numpy as np
 
 from .frames import Frame, FrameMetrics, dist_sq, frame_metrics, renormalize
 from .majorization import MAJORIZATION_TOL, majorization_rows, transport_distance
-from .polytope import all_d_subsets_independent, uniform_coefficients
+from .polytope import SUBSET_CAP, all_d_subsets_independent, uniform_coefficients
 from .scaling import (
     DEFAULT_MAX_ITER,
     DiagonalScaling,
@@ -41,15 +41,6 @@ from .seeding import spawn_rng
 # Inputs at eps >= 1/2 are rejected: the sqrt(1 - eps) budget algebra
 # degrades and the certified bound is vacuous at small d anyway.
 EPS_INPUT_MAX = 0.5
-
-# Solver target below which float64 cannot reliably evaluate the residual.
-DELTA_SOLVER_FLOOR = 1e-13
-
-# Up to this many d-subsets, every one is checked for independence before
-# solving. Past it the frame goes to the solver unperturbed: the solver's
-# residual and the a-posteriori certificate decide, and a frame whose d/n
-# lies outside the basis polytope raises ScalingConvergenceError.
-FULL_CHECK_CAP = 200_000
 
 _RETRY_CAP = 50
 
@@ -86,18 +77,15 @@ class PerturbationBudget:
         frame 4 eps-nearly Parseval; the per-vector distance overhead
         gamma at gamma_max = (1 - sqrt(1 - eps)) eps d / n, computed as
         eps / (1 + sqrt(1 - eps)) eps d / n so that it does not cancel for
-        small eps (taken twice, as the conventional sqrt form and as the
-        root of eta^2 + 2 eta = gamma_max, written
-        gamma_max / (1 + sqrt(1 + gamma_max)) for the same reason); and a
-        floor keeping the perturbation well above machine noise handling yet
-        far below all bounds.
+        small eps, through the root of eta^2 + 2 eta = gamma_max, written
+        gamma_max / (1 + sqrt(1 + gamma_max)) for the same reason; and a
+        ceiling of 1e-8 sqrt(d/n), far below all bounds.
         """
         if not 0.0 <= eps < 1.0:
             raise ValueError("eps must lie in [0, 1)")
         gamma_max = eps / (1.0 + math.sqrt(1.0 - eps)) * eps * d / n
         eta = min(
             eps / (2.0 * n),
-            math.sqrt(gamma_max) / 2.0,
             gamma_max / (1.0 + math.sqrt(1.0 + gamma_max)),
             1e-8 * math.sqrt(d / n),
         )
@@ -170,15 +158,18 @@ class RepairReport:
 def perturb_to_general_position(frame: Frame, budget: PerturbationBudget, seed: int) -> Frame:
     """Add a perturbation within budget until the frame is in general position.
 
-    A frame with more than FULL_CHECK_CAP d-subsets is returned unchanged
-    and unchecked. Otherwise the unperturbed frame is accepted when every
-    d-subset is already independent (generic inputs need no noise at all).
+    A frame with more than ``SUBSET_CAP`` d-subsets is returned unchanged
+    and unchecked: the solver's residual and the a-posteriori certificate
+    decide, and a frame whose d/n lies outside the basis polytope raises
+    ScalingConvergenceError. Otherwise the unperturbed frame is accepted
+    when every d-subset is already independent (generic inputs need no
+    noise at all).
     Each retry draws fresh directions with every row scaled to exactly
     eta_max, so dist^2 to the input is at most n eta_max^2.
     """
     if frame.n < frame.d:
         raise ValueError("general position requires n >= d")
-    if math.comb(frame.n, frame.d) > FULL_CHECK_CAP:
+    if math.comb(frame.n, frame.d) > SUBSET_CAP:
         return frame
     for attempt in range(_RETRY_CAP + 1):
         if attempt == 0:
@@ -220,10 +211,13 @@ def repair(
 
     The output satisfies dist^2(V, W) <= 20 eps d^2 with eps measured from
     the input; the report records every intermediate quantity and the
-    certification verdict.
+    certification verdict. The solver target is delta / d: with c = d/n
+    and exact norms, eps(W) = ||J||_2 <= d ||J||_inf.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not 0.0 < delta < math.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     d, n = frame.d, frame.n
     if n <= d:
         raise ValueError(f"repair requires n > d, got n={n}, d={d}")
@@ -236,7 +230,7 @@ def repair(
 
     budget = PerturbationBudget.for_input(eps, d, n)
     perturbed = perturb_to_general_position(renormalize(frame, d / n), budget, seed)
-    delta_solver = max(delta * eps / d**3, min(DELTA_SOLVER_FLOOR, delta / d))
+    delta_solver = delta / d
     solution = solve_radial_isotropic(
         perturbed, uniform_coefficients(d, n), delta_solver, max_iter=max_iter
     )

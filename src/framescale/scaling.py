@@ -51,6 +51,7 @@ scaling of a report in ``reverify``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,6 +134,8 @@ def _as_t(frame: Frame, t) -> np.ndarray:
     ta = np.asarray(t, dtype=float).ravel()
     if ta.size != frame.n:
         raise ValueError(f"t has length {ta.size}, expected {frame.n}")
+    if not np.all(np.isfinite(ta)):
+        raise ValueError("t must be finite")
     return ta
 
 
@@ -358,8 +361,8 @@ def solve_radial_isotropic(
     a-posteriori certificate decide. The solve fails when M(t) becomes
     singular or overflows, or after ``max_iter`` iterations, and then
     raises ScalingConvergenceError with the blocking subset of the last
-    iterate, if the scan finds one. Raises ValueError for delta <= 0,
-    max_iter < 0 or a zero frame vector.
+    iterate, if the scan finds one. Raises ValueError for a delta that is
+    not positive and finite, max_iter < 0 or a zero frame vector.
 
     The iterates start at t = 0. Each iteration builds A and the rows
     U A^T of t with ``_scaling_state``, tests the rows for convergence,
@@ -374,8 +377,8 @@ def solve_radial_isotropic(
     evaluated once before the loop, and the accepted trial's f serves as
     f0 of the next iteration, so every point's f is computed once.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not 0.0 < delta < math.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta!r}")
     if max_iter < 0:
         raise ValueError(f"max_iter must be nonnegative, got {max_iter}")
     ca = validate_coefficients(c, frame.d, frame.n)

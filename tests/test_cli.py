@@ -146,6 +146,19 @@ def test_generate_rejects_a_negative_eps(tmp_path, capsys, eps, code):
     assert not frame_path.exists()
 
 
+@pytest.mark.parametrize("delta", ["nan", "inf", "0"])
+def test_bad_delta_is_config_error(tmp_path, capsys, delta):
+    frame_path, report_path = tmp_path / "frame.json", tmp_path / "report.json"
+    assert main(["generate", "--output", str(frame_path), "--seed", "3", "--d", "3",
+                 "--n", "2d", "--eps", "1e-2"]) == EXIT_OK
+    assert main(["repair", "--input", str(frame_path), "--output", str(report_path),
+                 "--seed", "3", "--delta", delta]) == EXIT_CONFIG
+    error = stderr_error(capsys)
+    assert error["type"] == "config"
+    assert "--delta" in error["message"]
+    assert not report_path.exists()
+
+
 def test_missing_input_is_config_error(tmp_path, capsys):
     assert main(["analyze"]) == EXIT_CONFIG
     assert stderr_error(capsys)["type"] == "config"

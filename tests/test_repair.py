@@ -205,8 +205,34 @@ class TestRepair:
             repair(frame, 1e-9, seed=0)
 
     def test_rejects_bad_delta(self):
-        with pytest.raises(ValueError):
-            repair(mercedes_frame(), -1e-9, seed=0)
+        for delta in (-1e-9, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                repair(mercedes_frame(), delta, seed=0)
+
+    def test_rejects_negative_seed(self):
+        # Whether the gate draws from the seed depends on the frame; the
+        # check does not.
+        scaled = generate_enpf(4, 8, 0).vectors.copy()
+        scaled[0] *= 0.8
+        for frame in (perturbed_instance(4, 32, 1e-2, 0), Frame(scaled)):
+            with pytest.raises(ValueError, match="seed must be nonnegative"):
+                repair(frame, 1e-9, seed=-1)
+
+    def test_solver_target_is_delta_over_d(self):
+        for d, n, delta in ((2, 5, 1e-9), (4, 12, 1e-3), (8, 24, 0.45)):
+            report = repair(perturbed_instance(d, n, 1e-2, d), delta, seed=d)
+            assert report.delta_solver == delta / d
+
+    @pytest.mark.parametrize("d, n", [(3, 7), (8, 24)])
+    def test_loose_delta_certifies(self, d, n):
+        # delta far above eps: the solver target delta / d may stop the
+        # solve at t = 0, and the certificate must still hold.
+        for eps in (1e-1, 1e-5):
+            for seed, delta in enumerate((1e-4, 0.1, 0.45)):
+                report = repair(perturbed_instance(d, n, eps, seed), delta, seed=seed)
+                assert report.certified
+                assert report.output_eps <= delta
+                assert audit_lemma_chain(report).passed
 
     def test_deterministic_reports(self):
         frame = perturbed_instance(3, 8, 1e-2, seed=4)

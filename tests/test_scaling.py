@@ -142,6 +142,15 @@ class TestHessian:
             assert eigs.min() >= -1e-10
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("evaluate", [scaling_potential, scaling_gradient, scaling_hessian])
+def test_non_finite_t_rejected(evaluate, bad):
+    t = np.zeros(6)
+    t[2] = bad
+    with pytest.raises(ValueError, match="^t must be finite$"):
+        evaluate(generate_enpf(3, 6, 0), uniform_coefficients(3, 6), t)
+
+
 class TestWeightedSumErrors:
     @pytest.mark.parametrize("derivative", [scaling_gradient, scaling_hessian])
     def test_overflow_named(self, derivative):
@@ -209,8 +218,18 @@ class TestSolve:
         assert max(iters) <= 200
 
     def test_bad_delta_rejected(self):
-        with pytest.raises(ValueError):
-            solve_radial_isotropic(IDENTITY2, np.ones(2), 0.0)
+        for delta in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                solve_radial_isotropic(IDENTITY2, np.ones(2), delta)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_coefficients_rejected(self, bad):
+        frame = generate_enpf(3, 6, 0)
+        c = np.array([bad, 0.5, 0.5, 0.5, 0.5, 1.0])
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            solve_radial_isotropic(frame, c, 1e-9)
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            scaling_potential(frame, c, np.zeros(6))
 
     def test_zero_vector_rejected(self):
         frame = Frame(np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [1.0, 1.0]]))
