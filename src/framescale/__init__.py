@@ -26,14 +26,11 @@ from .repair import (
     audit_lemma_chain,
     perturb_to_general_position,
     repair,
-    rescale_preserving_norms,
     reverify,
 )
 from .scaling import (
-    DiagonalScaling,
     ScalingConvergenceError,
     ScalingSolution,
-    diagonalize_transform,
     isotropy_residual,
     scaling_gradient,
     scaling_hessian,
@@ -66,12 +63,9 @@ __all__ = [
     "audit_lemma_chain",
     "perturb_to_general_position",
     "repair",
-    "rescale_preserving_norms",
     "reverify",
-    "DiagonalScaling",
     "ScalingConvergenceError",
     "ScalingSolution",
-    "diagonalize_transform",
     "isotropy_residual",
     "scaling_gradient",
     "scaling_hessian",

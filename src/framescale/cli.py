@@ -1,6 +1,9 @@
 """Command-line interface.
 
 Subcommands: generate, analyze, repair, polytope, solve-rip, audit, bench.
+A frame file, and the table that bench writes, is CSV when its name ends
+in .csv and JSON otherwise; repair --format picks the format of the
+repaired frame that it writes beside the report.
 Exit codes: 0 success, 1 certification failure, 2 parse/config error,
 3 solver non-convergence. Errors are reported as JSON on stderr. Set
 FRAMESCALE_LOG=debug|info|... for verbosity.
@@ -79,7 +82,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     frame = generate_enpf(args.d, _resolve_n(args.n, args.d), args.seed)
     if args.eps > 0:
         frame = perturb_frame(frame, args.eps, args.seed)
-    write_frame(args.output, frame, args.format)
+    write_frame(args.output, frame)
     log.info("wrote frame d=%d n=%d to %s", frame.d, frame.n, args.output)
     return EXIT_OK
 
@@ -91,18 +94,13 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _frame_sibling(report_path: Path, fmt: str) -> Path:
-    suffix = ".frame.csv" if fmt == "csv" else ".frame.json"
-    return report_path.with_name(report_path.stem + suffix)
-
-
 def _cmd_repair(args: argparse.Namespace) -> int:
     frame = read_frame(args.input)
     report = repair(frame, args.delta, args.seed, max_iter=args.max_iter)
     audit = audit_lemma_chain(report)
     write_report(args.output, report, audit)
-    frame_path = _frame_sibling(args.output, args.format)
-    write_frame(frame_path, report.output_frame, args.format)
+    sibling = args.output.with_name(f"{args.output.stem}.frame.{args.format}")
+    write_frame(sibling, report.output_frame)
     log.info(
         "repair d=%d n=%d eps=%.3g: dist^2=%.3g bound=%.3g certified=%s",
         report.d, report.n, report.eps, report.dist_sq_vw, report.bound, report.certified,
@@ -207,7 +205,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 }
             )
             failures += 0 if rows[-1]["certified"] else 1
-    if args.format == "csv":
+    if str(args.output).endswith(".csv"):
         # csv quotes the error messages, which may hold commas, and writes None as "".
         with args.output.open("w", newline="") as handle:
             writer = csv.writer(handle, lineterminator="\n")
@@ -254,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name: str, help_text: str, **needs) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, description=help_text)
         if needs.get("input"):
             p.add_argument("--input", required=True, type=Path)
         if needs.get("output_required"):
@@ -267,20 +265,21 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--delta", type=float, default=_DEFAULT_DELTA)
         if needs.get("max_iter"):
             p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
-        if needs.get("format"):
-            p.add_argument("--format", choices=("json", "csv"), default="json")
         return p
 
-    p = add("generate", "write an exact or eps-nearly equal norm Parseval frame",
-            output_required=True, seed=True, format=True)
+    p = add("generate", "write an exact or eps-nearly equal norm Parseval frame, "
+            "as CSV when --output ends in .csv and as JSON otherwise",
+            output_required=True, seed=True)
     p.add_argument("--d", required=True, type=int)
     p.add_argument("--n", required=True)
     p.add_argument("--eps", type=float, default=0.0)
 
     add("analyze", "measure frame nearness metrics", input=True, output=True)
 
-    add("repair", "repair a frame and write the certified report",
-        input=True, output_required=True, seed=True, delta=True, max_iter=True, format=True)
+    p = add("repair", "repair a frame and write the certified report",
+            input=True, output_required=True, seed=True, delta=True, max_iter=True)
+    p.add_argument("--format", choices=("json", "csv"), default="json",
+                   help="format of the repaired frame written beside the report")
 
     add("polytope", "exact basis polytope membership of uniform coefficients, "
         f"by subset enumeration (n <= {MAX_POLYTOPE_N})", input=True, output=True)
@@ -291,8 +290,9 @@ def build_parser() -> argparse.ArgumentParser:
     add("audit", "re-verify a stored repair report from its frames alone",
         input=True, output=True)
 
-    p = add("bench", "sweep a (d, n, eps) grid of repairs and tabulate ratios",
-            output_required=True, seed=True, delta=True, max_iter=True, format=True)
+    p = add("bench", "sweep a (d, n, eps) grid of repairs and tabulate ratios, "
+            "as CSV when --output ends in .csv and as JSON otherwise",
+            output_required=True, seed=True, delta=True, max_iter=True)
     p.add_argument("--d", type=_comma_list(int), default="2,4")
     p.add_argument("--n", type=_comma_list(str), default="2d+1,3d")
     p.add_argument("--eps", type=_comma_list(float), default="1e-2,1e-3")

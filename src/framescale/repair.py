@@ -29,11 +29,9 @@ from .majorization import MAJORIZATION_TOL, majorization_rows, transport_distanc
 from .polytope import SUBSET_CAP, all_d_subsets_independent, uniform_coefficients
 from .scaling import (
     DEFAULT_MAX_ITER,
-    DiagonalScaling,
     ScalingSolution,
     _images,
     _isotropy_test,
-    diagonalize_transform,
     solve_radial_isotropic,
 )
 from .seeding import spawn_rng
@@ -167,6 +165,8 @@ def perturb_to_general_position(frame: Frame, budget: PerturbationBudget, seed: 
     Each retry draws fresh directions with every row scaled to exactly
     eta_max, so dist^2 to the input is at most n eta_max^2.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     if frame.n < frame.d:
         raise ValueError("general position requires n >= d")
     if math.comb(frame.n, frame.d) > SUBSET_CAP:
@@ -187,21 +187,6 @@ def perturb_to_general_position(frame: Frame, budget: PerturbationBudget, seed: 
         f"no general-position frame within {_RETRY_CAP} retries at "
         f"eta_max={budget.eta_max:.3e}; the budget sits at machine-noise level"
     )
-
-
-def rescale_preserving_norms(frame: Frame, scaling: DiagonalScaling) -> Frame:
-    """Apply diag(lambdas) to each vector, then restore its original norm.
-
-    Expects the frame already expressed in the basis where the scaling is
-    diagonal (the frame returned by diagonalize_transform).
-    """
-    scaled = frame.vectors * scaling.lambdas[None, :]
-    norms = np.sqrt((scaled**2).sum(axis=1))
-    dead = np.flatnonzero(norms == 0.0)
-    if dead.size:
-        raise ValueError(f"scaled vector vanished at index {dead[0]}")
-    originals = np.sqrt(frame.squared_norms())
-    return Frame(scaled * (originals / norms)[:, None])
 
 
 def repair(
@@ -312,9 +297,11 @@ def _certify(
 def audit_lemma_chain(report: RepairReport) -> AuditRecord:
     """Re-derive the distance bound's inequality chain on one instance.
 
-    Works in the rotated basis where the scaling acts diagonally with
-    sorted entries. With x_i / y_i the entrywise squares of the perturbed
-    vectors and of their norm-preserving scaled images, the chain is:
+    Works in the basis D of the SVD A = C S D^T, where D S D^T acts as
+    diag(S) with sorted entries; the rotation preserves distances, and
+    D S D^T is isotropic whenever A is, since C D^T is orthogonal. With
+    x_i / y_i the entrywise squares of the rotated perturbed vectors and
+    of their norm-preserving scaled images Wt_i, the chain is:
 
       (a) y_i majorizes x_i for every i;
       (b) dist^2(U, Wt) <= sum_i ||x_i - y_i||_1 <= 2 sum_i T(y_i, x_i)
@@ -333,17 +320,23 @@ def audit_lemma_chain(report: RepairReport) -> AuditRecord:
     n vectors at once by ``majorization_rows``, with the same per-vector
     slack and transport as ``majorizes`` and ``transport_distance``.
 
-    Failures are recorded in the returned checks, never raised.
+    Failures are recorded in the returned checks, never raised: a
+    singular A is audited like any other, and a u_i that A maps to zero
+    gives a NaN row of Wt, which fails every check from (a) to (e).
     """
     d = report.d
     eps = report.eps
     gp = report.gamma_prime_effective
-    diag, rotated_u = diagonalize_transform(report.scaling.A, report.perturbed_frame)
-    rotated_w = Frame(report.output_frame.vectors @ diag.rotation)
-    wtilde = rescale_preserving_norms(rotated_u, diag)
+    _, sigma, vt = np.linalg.svd(report.scaling.A)
+    rotated_u = report.perturbed_frame.vectors @ vt.T
+    rotated_w = report.output_frame.vectors @ vt.T
+    scaled = rotated_u * sigma
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.sqrt((rotated_u**2).sum(axis=1)) / np.sqrt((scaled**2).sum(axis=1))
+        wtilde = scaled * ratio[:, None]
 
-    x = rotated_u.vectors**2
-    y = wtilde.vectors**2
+    x = rotated_u**2
+    y = wtilde**2
     prefix_x = np.cumsum(x, axis=1)
     prefix_y = np.cumsum(y, axis=1)
     mass = 1.0 + float(np.abs(x).sum())
@@ -368,7 +361,7 @@ def audit_lemma_chain(report: RepairReport) -> AuditRecord:
     )
 
     # (b) squared distance -> l1 -> transport chain
-    dist_u_wt = dist_sq(rotated_u, wtilde)
+    dist_u_wt = float(((rotated_u - wtilde) ** 2).sum())
     l1_total = float(np.abs(x - y).sum())
     transport_each = float(row_transport.sum())
     atol = _AUDIT_ATOL * mass
@@ -414,7 +407,7 @@ def audit_lemma_chain(report: RepairReport) -> AuditRecord:
     )
 
     # (e) rescaling Wt -> W moves each vector by its norm drift only
-    dist_wt_w = dist_sq(wtilde, rotated_w)
+    dist_wt_w = float(((wtilde - rotated_w) ** 2).sum())
     rhs_e = 2.0 * gp
     checks.append(
         AuditCheck(

@@ -6,14 +6,15 @@ for a given frame is found by minimizing the convex potential
 
     f(t) = log det M(t) - c . t,   M(t) = sum_i c_i e^{t_i} u_i u_i^T,
 
-whose stationary points satisfy e^{t_i} u_i^T M(t)^{-1} u_i = 1 for all i;
-A = M(t*)^{-1/2} then places the frame in radial isotropic position. The
-potential is invariant under t -> t + s 1 (when sum c_i = d), so iterates
-are gauge-fixed to sum t_i = 0. The minimum exists exactly when c lies in
-the basis polytope of U; outside it the iterates escape to infinity along
-a blocking subset S with sum_{i in S} c_i > dim span S, whose t_i run
-ahead of the rest. A failing solve reads S off its last iterate in one
-O(n d^2) scan (``_blocking_prefix``).
+whose stationary points satisfy e^{t_i} u_i^T M(t)^{-1} u_i = 1 for every
+i with c_i > 0; A = M(t*)^{-1/2} then places the frame in radial isotropic
+position. The potential is invariant under t -> t + s 1 (when
+sum c_i = d), so iterates are gauge-fixed to sum t_i = 0. The minimum
+exists exactly when c lies in the basis polytope of U; outside it the
+iterates escape to infinity along a blocking subset S with
+sum_{i in S} c_i > dim span S, whose t_i run ahead of the rest. A failing
+solve reads S off its last iterate in one O(n d^2) scan
+(``_blocking_prefix``).
 
 ``_potential`` is the one evaluation of f: it builds M(t) and takes
 log det M(t) from its Cholesky factor, and returns +inf where M(t)
@@ -68,7 +69,7 @@ _ARMIJO_NOISE = 4e-16
 _MAX_HALVINGS = 60
 
 # Converged solutions must also satisfy the stationarity identity
-# e^{t_i} ||A u_i||^2 = 1 within this multiple of delta.
+# e^{t_i} ||A u_i||^2 = 1, for every i with c_i > 0, within this multiple of delta.
 STATIONARITY_FACTOR = 10.0
 
 
@@ -88,14 +89,6 @@ class ScalingSolution:
     iterations: int
     converged: bool
     stationarity_gap: float
-
-
-@dataclass(frozen=True)
-class DiagonalScaling:
-    """A sorted nonnegative diagonal map plus the rotation that diagonalizes it."""
-
-    lambdas: np.ndarray
-    rotation: np.ndarray
 
 
 class ScalingConvergenceError(RuntimeError):
@@ -229,15 +222,17 @@ def _isotropy_test(
 
     Returns J = sum_i c_i w_i w_i^T - I for w_i = A u_i / ||A u_i||, its
     largest entry in absolute value, the stationarity gap
-    max_i |e^{t_i} ||A u_i||^2 - 1|, and whether both meet delta. A t_i
-    whose exponential overflows gives an infinite gap, never a warning.
+    max_{i: c_i > 0} |e^{t_i} ||A u_i||^2 - 1|, and whether both meet
+    delta. The identity holds only where c_i > 0: a vector with c_i = 0
+    has zero gradient, so its t_i never moves. A t_i whose exponential
+    overflows gives an infinite gap, never a warning.
     """
     norms2 = (images**2).sum(axis=1)
     unit = images / np.sqrt(norms2)[:, None]
     J = (unit.T * c) @ unit - np.eye(images.shape[1])
     resid = float(np.abs(J).max())
     with np.errstate(over="ignore"):
-        gap = float(np.abs(np.exp(t) * norms2 - 1.0).max())
+        gap = float(np.abs(np.exp(t) * norms2 - 1.0)[c > 0].max())
     return J, resid, gap, bool(resid <= delta and gap <= STATIONARITY_FACTOR * delta)
 
 
@@ -449,23 +444,3 @@ def solve_radial_isotropic(
         t, f0 = trial, f_trial
         iterations += 1
 
-
-def diagonalize_transform(A, frame: Frame) -> tuple[DiagonalScaling, Frame]:
-    """Split A into a sorted diagonal map plus a basis rotation.
-
-    Writing A = C S D^T (singular value decomposition), D S D^T places the
-    frame in radial isotropic position whenever A does, because the
-    renormalized outer-product sum is invariant under the orthogonal map
-    C D^T. Returns the sorted singular values together with the frame
-    expressed in the D basis, where the scaling acts as diag(lambdas).
-    Distances between frames are preserved by the basis change.
-    """
-    Aa = np.asarray(A, dtype=float)
-    if Aa.shape != (frame.d, frame.d):
-        raise ValueError(f"A must be {frame.d} x {frame.d}, got {Aa.shape}")
-    _, sigma, vt = np.linalg.svd(Aa)
-    if sigma[-1] <= 0:
-        raise ValueError("A is singular")
-    rotation = vt.T
-    rotated = Frame(frame.vectors @ rotation)
-    return DiagonalScaling(lambdas=sigma, rotation=rotation), rotated

@@ -1,9 +1,11 @@
 """File formats: frames as JSON or CSV, reports and solver output as JSON.
 
-Frames carry an explicit (d, n) header in both formats and preserve vector
-order. Floats are written so that reading them back reproduces the exact
-double (JSON holds the shortest round-trip representation, CSV prints 17
-significant digits); round-trips are bit-faithful.
+The file name picks a frame file's format: a path ending in .csv is CSV,
+and any other path is JSON. Frames carry an explicit (d, n) header in both
+formats and preserve vector order. Floats are written so that reading them
+back reproduces the exact double (JSON holds the shortest round-trip
+representation, CSV prints 17 significant digits); round-trips are
+bit-faithful.
 
 ``orjson`` is the JSON codec. It prints floats with Ryu's shortest
 round-trip algorithm and parses them back exactly, in under a tenth of a
@@ -111,22 +113,21 @@ def _packed_frame_from_dict(data: dict, field: str) -> Frame:
     return Frame(_unpack(data["vectors"], (n, d), field))
 
 
-def write_frame_json(path: str | Path, frame: Frame) -> None:
-    Path(path).write_bytes(encode_json(frame_to_dict(frame), "frame"))
-
-
-def read_frame_json(path: str | Path) -> Frame:
-    return frame_from_dict(_load_json(path))
-
-
-def write_frame_csv(path: str | Path, frame: Frame) -> None:
+def write_frame(path: str | Path, frame: Frame) -> None:
+    """Write a frame as CSV when ``path`` ends in .csv, and as JSON otherwise."""
+    if not str(path).endswith(".csv"):
+        Path(path).write_bytes(encode_json(frame_to_dict(frame), "frame"))
+        return
     lines = [f"# frame d={frame.d} n={frame.n}"]
     for row in frame.vectors:
         lines.append(",".join(format(v, ".17g") for v in row))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_frame_csv(path: str | Path) -> Frame:
+def read_frame(path: str | Path) -> Frame:
+    """Read a frame as CSV when ``path`` ends in .csv, and as JSON otherwise."""
+    if not str(path).endswith(".csv"):
+        return frame_from_dict(_load_json(path))
     lines = [ln.strip() for ln in Path(path).read_text().splitlines() if ln.strip()]
     if not lines:
         raise ValueError(f"{path}: empty frame file")
@@ -139,22 +140,6 @@ def read_frame_csv(path: str | Path) -> Frame:
     if frame.d != d or frame.n != n:
         raise ValueError(f"{path}: header (d={d}, n={n}) disagrees with rows ({frame.d}, {frame.n})")
     return frame
-
-
-def write_frame(path: str | Path, frame: Frame, fmt: str = "json") -> None:
-    if fmt == "json":
-        write_frame_json(path, frame)
-    elif fmt == "csv":
-        write_frame_csv(path, frame)
-    else:
-        raise ValueError(f"unknown frame format {fmt!r}")
-
-
-def read_frame(path: str | Path) -> Frame:
-    """Load a frame, dispatching on extension (.csv) with JSON fallback."""
-    if str(path).endswith(".csv"):
-        return read_frame_csv(path)
-    return read_frame_json(path)
 
 
 def metrics_to_dict(metrics: FrameMetrics) -> dict:

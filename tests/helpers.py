@@ -6,15 +6,7 @@ from itertools import combinations
 
 import numpy as np
 
-from framescale import (
-    Frame,
-    diagonalize_transform,
-    dist_sq,
-    majorizes,
-    rescale_preserving_norms,
-    scaling_potential,
-    transport_distance,
-)
+from framescale import Frame, majorizes, scaling_potential, transport_distance
 from framescale.majorization import MAJORIZATION_TOL
 from framescale.polytope import RANK_RTOL, numerical_rank
 from framescale.repair import _AUDIT_ATOL
@@ -119,17 +111,33 @@ def mercedes_frame() -> Frame:
 
 
 def audit_per_vector_oracle(report) -> dict[str, tuple[bool, float, float]]:
-    """Checks (a) and (b) of ``audit_lemma_chain`` with one call per vector.
+    """Checks (a), (b) and (e) of ``audit_lemma_chain`` with one call per vector.
 
-    The audit's former loops over ``majorizes`` and ``transport_distance``,
-    kept as the reference for its row-wise evaluation. Returns
-    ``{name: (passed, lhs, rhs)}`` for both checks.
+    Plain numpy: the rotated basis comes from the SVD A = C S D^T, and the
+    scaled images Wt_i = ||u_i|| S D^T u_i / ||S D^T u_i|| are formed with
+    the audit's arithmetic, so that the near-zero prefix gaps of (a) can
+    be compared. Majorization and transport are then taken one vector at
+    a time with ``majorizes`` and ``transport_distance``, the reference for
+    the audit's row-wise evaluation. Along the way it asserts what the
+    construction promises: S is sorted nonincreasing and nonnegative,
+    ||Wt_i|| = ||u_i||, and the distances of (b) and (e) are the same in
+    the rotated basis as in the original one. Returns
+    ``{name: (passed, lhs, rhs)}`` for the three checks.
     """
     n = report.n
-    diag, rotated_u = diagonalize_transform(report.scaling.A, report.perturbed_frame)
-    wtilde = rescale_preserving_norms(rotated_u, diag)
-    x = rotated_u.vectors**2
-    y = wtilde.vectors**2
+    U = report.perturbed_frame.vectors
+    W = report.output_frame.vectors
+    _, sigma, vt = np.linalg.svd(report.scaling.A)
+    assert np.all(np.diff(sigma) <= 0) and sigma[-1] >= 0, sigma
+    u = U @ vt.T
+    w = W @ vt.T
+    scaled = u * sigma
+    wtilde = scaled * (np.sqrt((u**2).sum(axis=1)) / np.sqrt((scaled**2).sum(axis=1)))[:, None]
+    np.testing.assert_allclose(
+        np.linalg.norm(wtilde, axis=1), np.linalg.norm(U, axis=1), rtol=1e-12
+    )
+    x = u**2
+    y = wtilde**2
     prefix_x = np.cumsum(x, axis=1)
     prefix_y = np.cumsum(y, axis=1)
     mass = 1.0 + float(np.abs(x).sum())
@@ -139,10 +147,15 @@ def audit_per_vector_oracle(report) -> dict[str, tuple[bool, float, float]]:
     prefix_tol = MAJORIZATION_TOL * mass
     all_major = all(majorizes(y[i], x[i]) for i in range(n))
 
-    dist_u_wt = dist_sq(rotated_u, wtilde)
+    dist_u_wt = float(((u - wtilde) ** 2).sum())
+    dist_wt_w = float(((wtilde - w) ** 2).sum())
+    back = wtilde @ vt
+    assert np.isclose(dist_u_wt, ((U - back) ** 2).sum(), rtol=1e-9, atol=1e-24)
+    assert np.isclose(dist_wt_w, ((back - W) ** 2).sum(), rtol=1e-9, atol=1e-24)
     l1_total = float(np.abs(x - y).sum())
     transport_each = float(sum(transport_distance(y[i], x[i]) for i in range(n)))
     atol = _AUDIT_ATOL * mass
+    gp = report.gamma_prime_effective
     return {
         "scaled_squares_majorize": (
             bool(all_major and total_gap <= prefix_tol),
@@ -154,6 +167,7 @@ def audit_per_vector_oracle(report) -> dict[str, tuple[bool, float, float]]:
             dist_u_wt,
             2.0 * transport_each,
         ),
+        "norm_rescaling_distance": (bool(dist_wt_w <= 2.0 * gp + atol), dist_wt_w, 2.0 * gp),
     }
 
 

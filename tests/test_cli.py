@@ -26,7 +26,7 @@ def repaired_report(tmp_path, fmt: str):
     frame_path = tmp_path / f"frame.{ext}"
     report_path = tmp_path / "report.json"
     assert main(["generate", "--output", str(frame_path), "--seed", "3", "--d", "4",
-                 "--n", "3d", "--eps", "1e-2", "--format", fmt]) == EXIT_OK
+                 "--n", "3d", "--eps", "1e-2"]) == EXIT_OK
     assert main(["repair", "--input", str(frame_path), "--output", str(report_path),
                  "--seed", "3", "--format", fmt]) == EXIT_OK
     return report_path
@@ -44,6 +44,16 @@ def test_generate_repair_audit_round_trip(tmp_path, fmt):
     payload = json.loads(audit_path.read_text())
     assert payload["verdict_matches_stored"]
     assert payload["stored_certified"]
+
+
+def test_generate_and_repair_agree_on_a_csv_name(tmp_path):
+    # The file name alone picks the format, for the writer and the reader alike.
+    frame_path = tmp_path / "f.csv"
+    assert main(["generate", "--output", str(frame_path), "--seed", "1", "--d", "3",
+                 "--n", "2d", "--eps", "1e-2"]) == EXIT_OK
+    assert frame_path.read_text().startswith("# frame d=3 n=6\n")
+    assert main(["repair", "--input", str(frame_path), "--output", str(tmp_path / "r.json"),
+                 "--seed", "1"]) == EXIT_OK
 
 
 def test_audit_rejects_tampered_output(tmp_path, capsys):
@@ -110,6 +120,26 @@ def test_overflowing_stored_t_is_uncertified(tmp_path, capsys):
     code = main(["audit", "--input", str(audit_path), "--output", str(tmp_path / "b.json")])
     assert code == EXIT_CERTIFICATION
     assert stderr_error(capsys)["type"] == "certification"
+
+
+def test_singular_stored_A_fails_certification(tmp_path, capsys):
+    # A singular A is audited rather than refused: its checks fail and the exit code says so.
+    frame_path, report_path = tmp_path / "frame.json", tmp_path / "report.json"
+    assert main(["generate", "--output", str(frame_path), "--seed", "0", "--d", "3",
+                 "--n", "7", "--eps", "1e-2"]) == EXIT_OK
+    assert main(["repair", "--input", str(frame_path), "--output", str(report_path),
+                 "--seed", "0"]) == EXIT_OK
+    data = json.loads(report_path.read_text())
+    A = np.frombuffer(base64.b64decode(data["scaling"]["A"]), dtype="<f8").reshape(3, 3).copy()
+    A[-1] = 0.0
+    data["scaling"]["A"] = base64.b64encode(A.tobytes()).decode("ascii")
+    report_path.write_text(json.dumps(data))
+    capsys.readouterr()
+    audit_path = tmp_path / "audit.json"
+    code = main(["audit", "--input", str(report_path), "--output", str(audit_path)])
+    assert code == EXIT_CERTIFICATION
+    assert stderr_error(capsys)["type"] == "certification"
+    assert not json.loads(audit_path.read_text())["audit"]["passed"]
 
 
 @pytest.mark.parametrize("seed, code", [(2**64 - 1, EXIT_OK), (2**64, EXIT_CONFIG)])
@@ -261,7 +291,7 @@ def test_bench_writes_a_row_per_cell(tmp_path, capsys, fmt):
     # or not it does, every cell gets a row and the exit code says so.
     out = tmp_path / f"bench.{fmt}"
     code = main(["bench", "--output", str(out), "--seed", "0", "--d", "4", "--n", "3d",
-                 "--eps", "1e-2,1e-7", "--reps", "3", "--format", fmt])
+                 "--eps", "1e-2,1e-7", "--reps", "3"])
     rows = read_bench(out, fmt)
     assert len(rows) == 6
     assert all(float(row["repair_s"]) > 0 for row in rows)
@@ -280,7 +310,7 @@ def test_bench_records_non_convergence_and_continues(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "repair", diverging)
     out = tmp_path / "bench.csv"
     code = main(["bench", "--output", str(out), "--seed", "0", "--d", "2,3", "--n", "2d",
-                 "--eps", "1e-2", "--reps", "1", "--format", "csv"])
+                 "--eps", "1e-2", "--reps", "1"])
     assert code == EXIT_CERTIFICATION
     rows = read_bench(out, "csv")
     assert [row["d"] for row in rows] == ["2", "3"]
@@ -298,7 +328,7 @@ def test_bench_records_non_convergence_and_continues(tmp_path, monkeypatch):
 def test_bench_rejects_an_empty_grid(tmp_path, capsys, fmt, grid):
     out = tmp_path / f"bench.{fmt}"
     code = main(["bench", "--output", str(out), "--seed", "0", "--d", "2", "--n", "2d",
-                 "--eps", "1e-2", "--reps", "1", "--format", fmt, *grid])
+                 "--eps", "1e-2", "--reps", "1", *grid])
     assert code == EXIT_CONFIG
     assert stderr_error(capsys)["type"] == "config"
     assert not out.exists()
@@ -317,7 +347,7 @@ def test_bench_checks_the_whole_grid_before_repairing(tmp_path, capsys, monkeypa
     monkeypatch.setattr(cli, "repair", no_repair)
     out = tmp_path / f"bench.{fmt}"
     code = main(["bench", "--output", str(out), "--seed", "0", "--d", "2", "--n", "2d",
-                 "--eps", "1e-2", "--reps", "1", "--format", fmt, *grid])
+                 "--eps", "1e-2", "--reps", "1", *grid])
     assert code == EXIT_CONFIG
     assert stderr_error(capsys)["type"] == "config"
     assert not out.exists()

@@ -9,7 +9,6 @@ import pytest
 
 import framescale
 from framescale import (
-    DiagonalScaling,
     Frame,
     PerturbationBudget,
     ScalingConvergenceError,
@@ -22,7 +21,6 @@ from framescale import (
     perturb_to_general_position,
     renormalize,
     repair,
-    rescale_preserving_norms,
     reverify,
     uniform_coefficients,
 )
@@ -110,37 +108,19 @@ class TestPerturbToGeneralPosition:
         out = perturb_to_general_position(frame, PerturbationBudget.from_eta_max(0.0, 10, 40), 0)
         assert out is frame
 
+    @pytest.mark.parametrize("degenerate", [True, False])
+    def test_negative_seed_rejected(self, degenerate):
+        rows = [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]] if degenerate else mercedes_frame().vectors
+        frame = renormalize(Frame(np.array(rows)), 2 / 3)
+        with pytest.raises(ValueError, match="^seed must be nonnegative, got -1$"):
+            perturb_to_general_position(frame, PerturbationBudget.from_eta_max(1e-6, 2, 3), -1)
+
     def test_distance_within_budget(self):
         rng = np.random.default_rng(2)
         frame = renormalize(Frame(rng.standard_normal((8, 3))), 3 / 8)
         budget = PerturbationBudget.from_eta_max(1e-7, 3, 8)
         out = perturb_to_general_position(frame, budget, seed=3)
         assert dist_sq(frame, out) <= 8 * budget.eta_max**2 + 1e-18
-
-
-class TestRescalePreservingNorms:
-    def test_identity_scaling(self):
-        frame = mercedes_frame()
-        scaling = DiagonalScaling(lambdas=np.ones(2), rotation=np.eye(2))
-        np.testing.assert_allclose(
-            rescale_preserving_norms(frame, scaling).vectors, frame.vectors, atol=1e-15
-        )
-
-    def test_eigendirection_fixed(self):
-        frame = Frame(np.array([[0.0, 1.0]]))
-        scaling = DiagonalScaling(lambdas=np.array([2.0, 1.0]), rotation=np.eye(2))
-        np.testing.assert_allclose(
-            rescale_preserving_norms(frame, scaling).vectors, [[0.0, 1.0]], atol=1e-15
-        )
-
-    def test_diagonal_mix(self):
-        frame = Frame(np.array([[np.sqrt(0.5), np.sqrt(0.5)]]))
-        scaling = DiagonalScaling(lambdas=np.array([2.0, 1.0]), rotation=np.eye(2))
-        out = rescale_preserving_norms(frame, scaling)
-        np.testing.assert_allclose(
-            out.vectors, [[2.0 / np.sqrt(5.0), 1.0 / np.sqrt(5.0)]], atol=1e-12
-        )
-        assert out.squared_norms()[0] == pytest.approx(1.0)
 
 
 class TestRepair:
@@ -305,6 +285,35 @@ class TestAuditChain:
                 assert check.passed == passed, (d, n, eps, name)
                 assert math.isclose(check.lhs, lhs, rel_tol=1e-12), (d, n, eps, name)
                 assert math.isclose(check.rhs, rhs, rel_tol=1e-12), (d, n, eps, name)
+
+    def test_singular_transform_recorded_not_raised(self):
+        report = repair(perturbed_instance(3, 7, 1e-2, seed=0), 1e-9, seed=0)
+        A = report.scaling.A.copy()
+        A[-1] = 0.0
+        audit = audit_lemma_chain(
+            dataclasses.replace(report, scaling=dataclasses.replace(report.scaling, A=A))
+        )
+        assert not audit.passed
+        assert [c.name for c in audit.checks if not c.passed] == [
+            "transport_column_bound",
+            "norm_rescaling_distance",
+        ]
+
+    def test_vanished_image_fails_its_checks_without_a_warning(self):
+        # A zero last column maps the perturbed vector e_3 |u_0| to exactly 0.
+        report = repair(perturbed_instance(3, 7, 1e-2, seed=0), 1e-9, seed=0)
+        A = report.scaling.A.copy()
+        A[:, -1] = 0.0
+        vectors = report.perturbed_frame.vectors.copy()
+        vectors[0] = [0.0, 0.0, np.linalg.norm(vectors[0])]
+        audit = audit_lemma_chain(
+            dataclasses.replace(
+                report,
+                perturbed_frame=Frame(vectors),
+                scaling=dataclasses.replace(report.scaling, A=A),
+            )
+        )
+        assert [c.passed for c in audit.checks] == [False] * 5 + [True]
 
     def test_lemma_bound_recorded(self):
         report = repair(perturbed_instance(3, 8, 1e-2, seed=10), 1e-9, seed=10)

@@ -7,8 +7,6 @@ from framescale import (
     Frame,
     ScalingConvergenceError,
     basis_polytope_membership,
-    diagonalize_transform,
-    dist_sq,
     generate_enpf,
     isotropy_residual,
     numerical_rank,
@@ -231,6 +229,16 @@ class TestSolve:
         with pytest.raises(ValueError, match="coefficients must be finite"):
             scaling_potential(frame, c, np.zeros(6))
 
+    def test_zero_coefficient_converges(self):
+        # t_0 never moves when c_0 = 0, so its stationarity gap is not part of the test.
+        frame = Frame(np.random.default_rng(0).standard_normal((6, 3)))
+        c = np.array([0.0, 0.6, 0.6, 0.6, 0.6, 0.6])
+        assert basis_polytope_membership(frame, c) is None
+        sol = solve_radial_isotropic(frame, c, 1e-9)
+        assert sol.converged
+        assert sol.residual_inf <= 1e-9
+        assert isotropy_residual(frame, c, sol.A)[1] == sol.residual_inf
+
     def test_zero_vector_rejected(self):
         frame = Frame(np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [1.0, 1.0]]))
         with pytest.raises(ValueError, match="zero vector at index 2"):
@@ -370,53 +378,3 @@ class TestVerify:
         with pytest.raises(ValueError):
             isotropy_residual(frame, np.ones(2), A)
 
-
-class TestDiagonalize:
-    def test_sorted_diagonal_passthrough(self):
-        rng = np.random.default_rng(10)
-        frame = random_generic_frame(rng, 3, 5)
-        A = np.diag([3.0, 2.0, 0.5])
-        scaling, rotated = diagonalize_transform(A, frame)
-        np.testing.assert_allclose(scaling.lambdas, [3.0, 2.0, 0.5])
-        np.testing.assert_allclose(np.abs(scaling.rotation), np.eye(3), atol=1e-12)
-        np.testing.assert_allclose(np.abs(rotated.vectors), np.abs(frame.vectors), atol=1e-12)
-
-    def test_orthogonal_transform_gives_unit_scaling(self):
-        rng = np.random.default_rng(11)
-        q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-        frame = random_generic_frame(rng, 3, 6)
-        scaling, _ = diagonalize_transform(q, frame)
-        np.testing.assert_allclose(scaling.lambdas, 1.0, atol=1e-12)
-
-    def test_residual_preserved_up_to_rotation(self):
-        rng = np.random.default_rng(12)
-        for _ in range(15):
-            frame = random_generic_frame(rng, 3, 6)
-            A = rng.standard_normal((3, 3)) + 3.0 * np.eye(3)
-            c = uniform_coefficients(3, 6)
-            scaling, rotated = diagonalize_transform(A, frame)
-            J_before, _ = isotropy_residual(frame, c, A)
-            J_after, _ = isotropy_residual(rotated, c, np.diag(scaling.lambdas))
-            assert np.linalg.norm(J_before) == pytest.approx(
-                np.linalg.norm(J_after), abs=1e-9
-            )
-
-    def test_distances_preserved(self):
-        rng = np.random.default_rng(13)
-        a = random_generic_frame(rng, 4, 7)
-        b = random_generic_frame(rng, 4, 7)
-        A = rng.standard_normal((4, 4)) + 4.0 * np.eye(4)
-        scaling, a_rot = diagonalize_transform(A, a)
-        b_rot = Frame(b.vectors @ scaling.rotation)
-        assert dist_sq(a_rot, b_rot) == pytest.approx(dist_sq(a, b), rel=1e-12)
-
-    def test_singular_transform_rejected(self):
-        with pytest.raises(ValueError):
-            diagonalize_transform(np.zeros((2, 2)), IDENTITY2)
-
-    def test_lambdas_sorted_nonincreasing(self):
-        rng = np.random.default_rng(14)
-        A = rng.standard_normal((4, 4)) + 2.0 * np.eye(4)
-        scaling, _ = diagonalize_transform(A, random_generic_frame(rng, 4, 6))
-        assert np.all(np.diff(scaling.lambdas) <= 0)
-        assert np.all(scaling.lambdas >= 0)

@@ -53,7 +53,7 @@ def test_frame_round_trip_is_bit_exact(tmp_path, fmt):
     vectors[1, 0] = -0.0
     frame = Frame(vectors)
     path = tmp_path / f"frame.{fmt}"
-    write_frame(path, frame, fmt)
+    write_frame(path, frame)
     assert_bit_equal(read_frame(path).vectors, frame.vectors)
 
 
