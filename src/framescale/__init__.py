@@ -16,7 +16,6 @@ from .polytope import (
     all_d_subsets_independent,
     basis_polytope_membership,
     numerical_rank,
-    uniform_coefficients,
 )
 from .repair import (
     AuditCheck,
@@ -55,7 +54,6 @@ __all__ = [
     "all_d_subsets_independent",
     "basis_polytope_membership",
     "numerical_rank",
-    "uniform_coefficients",
     "AuditCheck",
     "AuditRecord",
     "PerturbationBudget",

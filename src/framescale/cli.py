@@ -23,7 +23,7 @@ from itertools import product
 from pathlib import Path
 
 from .frames import frame_metrics, generate_enpf, perturb_frame
-from .polytope import MAX_POLYTOPE_N, basis_polytope_membership, uniform_coefficients
+from .polytope import MAX_POLYTOPE_N, basis_polytope_membership
 from .repair import EPS_INPUT_MAX, audit_lemma_chain, repair, reverify
 from .scaling import DEFAULT_MAX_ITER, ScalingConvergenceError, solve_radial_isotropic
 from .seeding import derive_seed
@@ -118,7 +118,7 @@ def _cmd_repair(args: argparse.Namespace) -> int:
 
 def _cmd_polytope(args: argparse.Namespace) -> int:
     frame = read_frame(args.input)
-    violation = basis_polytope_membership(frame, uniform_coefficients(frame.d, frame.n))
+    violation = basis_polytope_membership(frame)
     _emit(
         {
             "in_polytope": violation is None,
@@ -131,8 +131,7 @@ def _cmd_polytope(args: argparse.Namespace) -> int:
 
 def _cmd_solve_rip(args: argparse.Namespace) -> int:
     frame = read_frame(args.input)
-    c = uniform_coefficients(frame.d, frame.n)
-    solution = solve_radial_isotropic(frame, c, args.delta, max_iter=args.max_iter)
+    solution = solve_radial_isotropic(frame, args.delta, max_iter=args.max_iter)
     _emit(scaling_to_dict(solution, frame.d), args.output)
     return EXIT_OK
 

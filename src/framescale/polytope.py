@@ -1,14 +1,15 @@
 """Membership test for the basis polytope of a frame, and general position.
 
-The basis polytope B(U) of vectors u_1..u_n consists of the nonnegative
-coefficient vectors c with sum c_i = d such that for every subset A of
-indices, dim span{u_i : i in A} >= sum_{i in A} c_i. Radial isotropic
-scaling with respect to c exists exactly when c lies in B(U). A failing
-scaling solve reads a blocking subset off its last iterate, but cannot
-decide points near the boundary; ``basis_polytope_membership`` decides
-membership exactly by enumerating subsets. The tests cross-validate it
-on random directions against the support function max_{v in B(U)} u^T v,
-evaluated by the matroid greedy rule in their own oracle.
+The basis polytope B(U) of vectors u_1..u_n in R^d holds the nonnegative
+c with sum c_i = d and sum_{i in S} c_i <= dim span{u_i : i in S} for
+every subset S; radial isotropic scaling for c exists exactly when c lies
+in B(U). The repair needs c = d/n only, which lies in B(U) exactly when
+|S| d/n <= dim span S for every S. A failing scaling solve reads a
+blocking subset off its last iterate, but cannot decide points near the
+boundary; ``basis_polytope_membership`` decides exactly by enumerating
+subsets. The tests cross-validate it on random directions against the
+support function max_{v in B(U)} u^T v, evaluated by the matroid greedy
+rule in their own oracle.
 
 ``all_d_subsets_independent`` is the exact general-position test of the
 repair pipeline. It screens each d-subset with a lower bound on
@@ -35,7 +36,7 @@ from .frames import Frame
 # cannot be counted on to lift a dependent d-subset past it.
 RANK_RTOL = 1e-9
 
-# Slack for coefficient-sum violations; c sums to d within 1e-10.
+# Slack for the violation test |S| d/n > dim span S, which sums rounded d/n.
 _VIOLATION_TOL = 1e-8
 
 # Hard ceilings on brute-force subset enumeration: the frame size for
@@ -49,27 +50,6 @@ _SUBSET_BATCH = 1024
 _SCREEN_MARGIN = 16.0
 _TINY = np.finfo(float).tiny
 
-_COEFF_SUM_TOL = 1e-10
-
-
-def uniform_coefficients(d: int, n: int) -> np.ndarray:
-    """The coefficient vector with every entry d/n."""
-    return np.full(n, d / n)
-
-
-def validate_coefficients(c, d: int, n: int) -> np.ndarray:
-    """Check that c has n finite, nonnegative entries summing to d."""
-    ca = np.asarray(c, dtype=float).ravel()
-    if ca.size != n:
-        raise ValueError(f"coefficient vector has length {ca.size}, expected {n}")
-    if not np.all(np.isfinite(ca)):
-        raise ValueError("coefficients must be finite")
-    if np.any(ca < -_COEFF_SUM_TOL):
-        raise ValueError("coefficients must be nonnegative")
-    if abs(float(ca.sum()) - d) > _COEFF_SUM_TOL * max(1.0, d):
-        raise ValueError(f"coefficients must sum to d={d}, got {ca.sum()!r}")
-    return ca
-
 
 def numerical_rank(vectors: np.ndarray) -> int:
     """Rank of the span of the given row vectors via singular values."""
@@ -79,29 +59,30 @@ def numerical_rank(vectors: np.ndarray) -> int:
     return int(np.count_nonzero(sigma > RANK_RTOL * sigma[0]))
 
 
-def basis_polytope_membership(frame: Frame, c) -> tuple[int, ...] | None:
-    """Brute-force test of c in B(U) over all nonempty subsets.
+def basis_polytope_membership(frame: Frame) -> tuple[int, ...] | None:
+    """Brute-force test of d/n in B(U) over all nonempty subsets.
 
-    Returns None when c lies in B(U), and otherwise a violating subset
-    (0-based indices). Subsets are visited depth-first in lexicographic
-    order, so that subset is deterministic. Once a subset reaches full
-    rank d its supersets cannot violate (subset sums never exceed d) and
-    the subtree is pruned. Refuses frames with n > ``MAX_POLYTOPE_N``.
+    Returns None when d/n lies in B(U), and otherwise a violating subset
+    S with |S| d/n > dim span S (0-based indices). Subsets are visited
+    depth-first in lexicographic order, so that subset is deterministic.
+    Once a subset reaches full rank d its supersets cannot violate (subset
+    sums never exceed d) and the subtree is pruned. Refuses frames with
+    n > ``MAX_POLYTOPE_N``.
     """
     if frame.n > MAX_POLYTOPE_N:
         raise ValueError(
             f"subset enumeration refused for n={frame.n} > {MAX_POLYTOPE_N}; "
             "membership would be approximate"
         )
-    ca = validate_coefficients(c, frame.d, frame.n)
     vecs = frame.vectors
     d, n = frame.d, frame.n
+    c = d / n
     chosen: list[int] = []
 
     def descend(start: int, csum: float) -> tuple[int, ...] | None:
         for i in range(start, n):
             chosen.append(i)
-            total = csum + ca[i]
+            total = csum + c
             rank = numerical_rank(vecs[chosen])
             if total > rank + _VIOLATION_TOL:
                 found = tuple(chosen)

@@ -5,7 +5,7 @@ pipeline (1) rescales every vector to squared norm d/n, (2) when the
 d-subsets are few enough to check them all, perturbs the frame within a
 budget negligible against all certified bounds until every d-subset is
 independent; past that cap the renormalized frame goes on unperturbed,
-(3) computes the radial isotropic scaling A for uniform coefficients d/n,
+(3) computes the radial isotropic scaling A for the coefficients d/n,
 which exists exactly when d/n lies in the basis polytope, and (4) outputs
 W with w_i = sqrt(d/n) A u_i / ||A u_i||, an equal norm Parseval frame up
 to the solver residual. The report certifies
@@ -26,7 +26,7 @@ import numpy as np
 
 from .frames import Frame, FrameMetrics, dist_sq, frame_metrics, renormalize
 from .majorization import MAJORIZATION_TOL, majorization_rows, transport_distance
-from .polytope import SUBSET_CAP, all_d_subsets_independent, uniform_coefficients
+from .polytope import SUBSET_CAP, all_d_subsets_independent
 from .scaling import (
     DEFAULT_MAX_ITER,
     ScalingSolution,
@@ -216,9 +216,7 @@ def repair(
     budget = PerturbationBudget.for_input(eps, d, n)
     perturbed = perturb_to_general_position(renormalize(frame, d / n), budget, seed)
     delta_solver = delta / d
-    solution = solve_radial_isotropic(
-        perturbed, uniform_coefficients(d, n), delta_solver, max_iter=max_iter
-    )
+    solution = solve_radial_isotropic(perturbed, delta_solver, max_iter=max_iter)
     images = _images(perturbed, solution.A)
     norms = np.sqrt((images**2).sum(axis=1))
     output = Frame(math.sqrt(d / n) * images / norms[:, None])
@@ -230,22 +228,25 @@ def repair(
 def reverify(stored: RepairReport) -> RepairReport:
     """Rebuild a report from its frames and scaling alone.
 
-    Every metric, distance, residual and the certification verdict are
-    recomputed; only the raw frames, the transformation, and the run
-    parameters (delta, seed, budget) are taken from the stored report.
+    Every metric, distance, residual, the perturbation budget and the
+    certification verdict are recomputed; only the raw frames, the
+    transformation, and the run parameters (delta, delta_solver, seed) are
+    taken from the stored report. The budget follows from the input's
+    measured eps as in ``repair``, so a stored budget is never trusted.
     """
     V, U, A = stored.input_frame, stored.perturbed_frame, stored.scaling.A
     _, resid, gap, converged = _isotropy_test(
-        _images(U, A), uniform_coefficients(V.d, V.n), stored.scaling.t, stored.delta_solver
+        _images(U, A), V.d / V.n, stored.scaling.t, stored.delta_solver
     )
     scaling = replace(stored.scaling, residual_inf=resid, converged=converged, stationarity_gap=gap)
+    metrics = frame_metrics(V)
     return _certify(
         V,
-        frame_metrics(V),
+        metrics,
         U,
         stored.output_frame,
         scaling,
-        PerturbationBudget.from_eta_max(stored.budget.eta_max, V.d, V.n),
+        PerturbationBudget.for_input(metrics.eps, V.d, V.n),
         stored.delta,
         stored.delta_solver,
         stored.seed,

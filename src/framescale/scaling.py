@@ -1,26 +1,25 @@
-"""Radial isotropic scaling of a frame with respect to a coefficient vector.
+"""Radial isotropic scaling of a frame for the coefficients c = d/n.
 
-A frame U = u_1..u_n is in radial isotropic position with respect to c when
-sum_i c_i (u_i/||u_i||)(u_i/||u_i||)^T = I. The linear map A achieving this
-for a given frame is found by minimizing the convex potential
+A frame U = u_1..u_n in R^d is in radial isotropic position when
+c sum_i (u_i/||u_i||)(u_i/||u_i||)^T = I for c = d/n. The map A achieving
+this is found by minimizing the convex potential
 
-    f(t) = log det M(t) - c . t,   M(t) = sum_i c_i e^{t_i} u_i u_i^T,
+    f(t) = log det M(t) - c sum_i t_i,   M(t) = c sum_i e^{t_i} u_i u_i^T,
 
 whose stationary points satisfy e^{t_i} u_i^T M(t)^{-1} u_i = 1 for every
-i with c_i > 0; A = M(t*)^{-1/2} then places the frame in radial isotropic
-position. The potential is invariant under t -> t + s 1 (when
-sum c_i = d), so iterates are gauge-fixed to sum t_i = 0. The minimum
-exists exactly when c lies in the basis polytope of U; outside it the
-iterates escape to infinity along a blocking subset S with
-sum_{i in S} c_i > dim span S, whose t_i run ahead of the rest. A failing
-solve reads S off its last iterate in one O(n d^2) scan
-(``_blocking_prefix``).
+i; A = M(t*)^{-1/2}. Since f is invariant under t -> t + s 1, iterates are
+gauge-fixed to sum t_i = 0. The minimum exists exactly when d/n lies in
+the basis polytope of U; outside it the iterates escape along a blocking
+subset S with |S| c > dim span S, whose t_i run ahead of the rest, and a
+failing solve reads S off its last iterate in one O(n d^2) scan
+(``_blocking_prefix``). The public functions read c off the frame's
+shape; the private kernels take it as a scalar.
 
 ``_potential`` is the one evaluation of f: it builds M(t) and takes
 log det M(t) from its Cholesky factor, and returns +inf where M(t)
 overflows or is not positive definite. The solver's line search calls it
-once per trial point; ``scaling_potential`` checks its arguments and calls
-it. ``_scaling_state`` builds A = M(t)^{-1/2} from ``eigh`` of M(t), with
+once per trial point; ``scaling_potential`` checks t and calls it.
+``_scaling_state`` builds A = M(t)^{-1/2} from ``eigh`` of M(t), with
 its overflow and positive-definite checks, and the rows U A^T (row i is
 A u_i); the solver loop, the gradient and the Hessian share it, and f does
 not depend on it. ``_images`` forms the same U A^T from a given A, for the
@@ -28,9 +27,9 @@ output frame of ``repair`` and the re-check of ``reverify``, so a re-check
 reproduces the solver's residual and stationarity gap bit for bit.
 
 Everything the solver needs comes from the whitened rows
-y_i = sqrt(c_i e^{t_i}) M(t)^{-1/2} u_i. Their Gram matrix G = Y Y^T is the
+y_i = sqrt(c e^{t_i}) M(t)^{-1/2} u_i. Their Gram matrix G = Y Y^T is the
 orthogonal projector onto the row space of the weighted vectors; the
-gradient is g_i = ||y_i||^2 - c_i and the Hessian is diag(G) - G o G,
+gradient is g_i = ||y_i||^2 - c and the Hessian is diag(G) - G o G,
 which ``scaling_hessian`` forms densely as a test oracle. The
 Hadamard square has rank at most r = d(d+1)/2: (G o G)_ij = K_i . K_j, where
 K_i is the upper triangle of y_i y_i^T with off-diagonal entries scaled by
@@ -44,7 +43,7 @@ up to rounding.
 
 The solver is damped Newton with an Armijo backtracking line search and a
 gradient-descent fallback; convergence is declared only after the residual
-J = sum_i c_i w_i w_i^T - I of the renormalized scaled frame has been
+J = c sum_i w_i w_i^T - I of the renormalized scaled frame has been
 recomputed and its largest entry checked against the requested delta.
 That test lives in ``_isotropy_test``, which also re-checks the stored
 scaling of a report in ``reverify``.
@@ -58,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frames import Frame
-from .polytope import _VIOLATION_TOL, RANK_RTOL, numerical_rank, validate_coefficients
+from .polytope import _VIOLATION_TOL, RANK_RTOL, numerical_rank
 
 DEFAULT_MAX_ITER = 200
 
@@ -69,7 +68,7 @@ _ARMIJO_NOISE = 4e-16
 _MAX_HALVINGS = 60
 
 # Converged solutions must also satisfy the stationarity identity
-# e^{t_i} ||A u_i||^2 = 1, for every i with c_i > 0, within this multiple of delta.
+# e^{t_i} ||A u_i||^2 = 1, for every i, within this multiple of delta.
 STATIONARITY_FACTOR = 10.0
 
 
@@ -78,7 +77,7 @@ class ScalingSolution:
     """Transformation placing a frame in radial isotropic position.
 
     ``residual_inf`` is the largest entry, in absolute value, of
-    J = sum_i c_i w_i w_i^T - I for the renormalized vectors
+    J = (d/n) sum_i w_i w_i^T - I for the renormalized vectors
     w_i = A u_i / ||A u_i||, measured at the returned iterate;
     ``isotropy_residual`` returns J itself.
     """
@@ -95,11 +94,10 @@ class ScalingConvergenceError(RuntimeError):
     """Raised when the scaling solver cannot reach the requested residual.
 
     Carries the last iterate, its residual and the blocking subset read
-    off that iterate: indices whose coefficient sum exceeds the dimension
-    of their span, which proves c outside the basis polytope. The subset
-    is None when the scan finds none: c may then lie inside the polytope,
-    or outside near its boundary, which ``basis_polytope_membership``
-    decides for n <= 20.
+    off that iterate: indices S with |S| d/n > dim span S, which proves
+    d/n outside the basis polytope. The subset is None when the scan finds
+    none: d/n may then lie inside the polytope, or outside near its
+    boundary, which ``basis_polytope_membership`` decides for n <= 20.
     """
 
     def __init__(
@@ -118,7 +116,7 @@ class ScalingConvergenceError(RuntimeError):
         self.blocking_subset = blocking_subset
 
 
-def _weighted_sum(vecs: np.ndarray, c: np.ndarray, t: np.ndarray) -> np.ndarray:
+def _weighted_sum(vecs: np.ndarray, c: float, t: np.ndarray) -> np.ndarray:
     w = c * np.exp(t)
     return (vecs.T * w) @ vecs
 
@@ -132,8 +130,8 @@ def _as_t(frame: Frame, t) -> np.ndarray:
     return ta
 
 
-def _potential(vecs: np.ndarray, c: np.ndarray, t: np.ndarray) -> float:
-    """f(t) = log det M(t) - c . t from the Cholesky factor L of M(t).
+def _potential(vecs: np.ndarray, c: float, t: np.ndarray) -> float:
+    """f(t) = log det M(t) - c sum_i t_i from the Cholesky factor L of M(t).
 
     log det M(t) = 2 sum_j log L_jj. Returns +inf when M(t) has a
     non-finite entry (Cholesky would factor it without raising) or is not
@@ -147,21 +145,19 @@ def _potential(vecs: np.ndarray, c: np.ndarray, t: np.ndarray) -> float:
         L = np.linalg.cholesky(M)
     except np.linalg.LinAlgError:
         return float("inf")
-    return float(2.0 * np.log(np.diagonal(L)).sum() - c @ t)
+    return float(2.0 * np.log(np.diagonal(L)).sum() - c * t.sum())
 
 
-def scaling_potential(frame: Frame, c, t) -> float:
-    """Convex potential f(t) = log det M(t) - c . t.
+def scaling_potential(frame: Frame, t) -> float:
+    """Convex potential f(t) = log det M(t) - (d/n) sum_i t_i.
 
     Returns +inf when the weighted sum M(t) overflows or is singular (or
     numerically indefinite), which happens only off the feasible region.
     """
-    return _potential(frame.vectors, validate_coefficients(c, frame.d, frame.n), _as_t(frame, t))
+    return _potential(frame.vectors, frame.d / frame.n, _as_t(frame, t))
 
 
-def _scaling_state(
-    vecs: np.ndarray, c: np.ndarray, t: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _scaling_state(vecs: np.ndarray, c: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A = M(t)^{-1/2} and the rows vecs @ A.T of the iterate t.
 
     Raises LinAlgError "weighted sum overflowed" when M(t) has a
@@ -179,8 +175,8 @@ def _scaling_state(
     return A, vecs @ A.T
 
 
-def _whitened(vecs: np.ndarray, c: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Rows y_i = sqrt(c_i e^{t_i}) A u_i.
+def _whitened(vecs: np.ndarray, c: float, t: np.ndarray) -> np.ndarray:
+    """Rows y_i = sqrt(c e^{t_i}) A u_i.
 
     Raises ValueError "weighted sum M(t) overflowed" or "weighted sum M(t)
     is singular", chained to the LinAlgError of ``_scaling_state``.
@@ -193,46 +189,41 @@ def _whitened(vecs: np.ndarray, c: np.ndarray, t: np.ndarray) -> np.ndarray:
     return images * np.sqrt(c * np.exp(t))[:, None]
 
 
-def scaling_gradient(frame: Frame, c, t) -> np.ndarray:
-    """Gradient g_i = c_i (e^{t_i} u_i^T M(t)^{-1} u_i - 1); sums to zero."""
-    ca = validate_coefficients(c, frame.d, frame.n)
-    ta = _as_t(frame, t)
-    Y = _whitened(frame.vectors, ca, ta)
-    return (Y**2).sum(axis=1) - ca
+def scaling_gradient(frame: Frame, t) -> np.ndarray:
+    """Gradient g_i = (d/n) (e^{t_i} u_i^T M(t)^{-1} u_i - 1); sums to zero."""
+    c = frame.d / frame.n
+    Y = _whitened(frame.vectors, c, _as_t(frame, t))
+    return (Y**2).sum(axis=1) - c
 
 
-def scaling_hessian(frame: Frame, c, t) -> np.ndarray:
+def scaling_hessian(frame: Frame, t) -> np.ndarray:
     """Closed-form Hessian diag(diag G) - G o G of the potential; PSD with null vector 1.
 
-    G = Y Y^T, so G_ij = sqrt(c_i c_j) e^{(t_i+t_j)/2} u_i^T M^{-1} u_j. This
+    G = Y Y^T, so G_ij = (d/n) e^{(t_i+t_j)/2} u_i^T M^{-1} u_j. This
     dense n x n form is a test oracle; the solver works from the rows Y and
     the rank-r factor K of G o G.
     """
-    ca = validate_coefficients(c, frame.d, frame.n)
-    ta = _as_t(frame, t)
-    Y = _whitened(frame.vectors, ca, ta)
+    Y = _whitened(frame.vectors, frame.d / frame.n, _as_t(frame, t))
     G = Y @ Y.T
     return np.diag(np.diag(G)) - G * G
 
 
 def _isotropy_test(
-    images: np.ndarray, c: np.ndarray, t: np.ndarray, delta: float
+    images: np.ndarray, c: float, t: np.ndarray, delta: float
 ) -> tuple[np.ndarray, float, float, bool]:
     """Convergence test of the scaled rows ``images`` (rows A u_i) at iterate t.
 
-    Returns J = sum_i c_i w_i w_i^T - I for w_i = A u_i / ||A u_i||, its
+    Returns J = c sum_i w_i w_i^T - I for w_i = A u_i / ||A u_i||, its
     largest entry in absolute value, the stationarity gap
-    max_{i: c_i > 0} |e^{t_i} ||A u_i||^2 - 1|, and whether both meet
-    delta. The identity holds only where c_i > 0: a vector with c_i = 0
-    has zero gradient, so its t_i never moves. A t_i whose exponential
-    overflows gives an infinite gap, never a warning.
+    max_i |e^{t_i} ||A u_i||^2 - 1|, and whether both meet delta. A t_i
+    whose exponential overflows gives an infinite gap, never a warning.
     """
     norms2 = (images**2).sum(axis=1)
     unit = images / np.sqrt(norms2)[:, None]
     J = (unit.T * c) @ unit - np.eye(images.shape[1])
     resid = float(np.abs(J).max())
     with np.errstate(over="ignore"):
-        gap = float(np.abs(np.exp(t) * norms2 - 1.0)[c > 0].max())
+        gap = float(np.abs(np.exp(t) * norms2 - 1.0).max())
     return J, resid, gap, bool(resid <= delta and gap <= STATIONARITY_FACTOR * delta)
 
 
@@ -248,14 +239,13 @@ def _images(frame: Frame, A) -> np.ndarray:
     return images
 
 
-def isotropy_residual(frame: Frame, c, A) -> tuple[np.ndarray, float]:
-    """Residual J = sum_i c_i w_i w_i^T - I for w_i = A u_i / ||A u_i||.
+def isotropy_residual(frame: Frame, A) -> tuple[np.ndarray, float]:
+    """Residual J = (d/n) sum_i w_i w_i^T - I for w_i = A u_i / ||A u_i||.
 
     Returns (J, max |J_ij|). Raises if some A u_i vanishes (A singular on
     a frame vector), since renormalization is then undefined.
     """
-    ca = validate_coefficients(c, frame.d, frame.n)
-    J, resid, _, _ = _isotropy_test(_images(frame, A), ca, np.zeros(frame.n), 0.0)
+    J, resid, _, _ = _isotropy_test(_images(frame, A), frame.d / frame.n, np.zeros(frame.n), 0.0)
     return J, resid
 
 
@@ -306,14 +296,14 @@ def _newton_direction(Y: np.ndarray, g: np.ndarray) -> np.ndarray:
     return -root * (x - np.linalg.solve(capacitance, Vt @ x) @ Vt)
 
 
-def _blocking_prefix(vecs: np.ndarray, c: np.ndarray, t: np.ndarray) -> tuple[int, ...] | None:
-    """A subset S with sum_{i in S} c_i > dim span S, read off the iterate t.
+def _blocking_prefix(vecs: np.ndarray, c: float, t: np.ndarray) -> tuple[int, ...] | None:
+    """A subset S with |S| c > dim span S, read off the iterate t.
 
     Outside the basis polytope the iterates escape along a blocking subset,
     whose t_i run ahead of the rest, so the scan visits indices by
     decreasing t (stable sort) and grows an orthonormal basis of the
     prefix's span one Gram-Schmidt step at a time, orthogonalizing twice.
-    It stops at the first prefix whose coefficient sum exceeds its rank by
+    It stops at the first prefix whose count times c exceeds its rank by
     more than ``_VIOLATION_TOL`` and returns it sorted, once
     ``numerical_rank`` confirms the violation; otherwise it returns None.
     O(n d^2) time.
@@ -331,7 +321,7 @@ def _blocking_prefix(vecs: np.ndarray, c: np.ndarray, t: np.ndarray) -> tuple[in
             basis = np.vstack([basis, r / norm])
         if len(basis) == d:  # a full-rank prefix cannot violate: its c-sum is at most d
             return None
-        csum += c[i]
+        csum += c
         if csum > len(basis) + _VIOLATION_TOL:
             subset = np.sort(order[: k + 1])
             if csum > numerical_rank(vecs[subset]) + _VIOLATION_TOL:
@@ -341,23 +331,17 @@ def _blocking_prefix(vecs: np.ndarray, c: np.ndarray, t: np.ndarray) -> tuple[in
 
 
 def solve_radial_isotropic(
-    frame: Frame,
-    c,
-    delta: float,
-    max_iter: int = DEFAULT_MAX_ITER,
+    frame: Frame, delta: float, *, max_iter: int = DEFAULT_MAX_ITER
 ) -> ScalingSolution:
-    """Find A with sum_i c_i (A u_i/||A u_i||)(A u_i/||A u_i||)^T = I + J,
+    """Find A with (d/n) sum_i (A u_i/||A u_i||)(A u_i/||A u_i||)^T = I + J,
     ||J||_inf <= delta.
 
-    Requires c in the basis polytope of the frame. Callers may certify that
-    beforehand with the polytope module at enumerable sizes. ``repair``
-    does not: past its exhaustive cap it passes the renormalized frame
-    here unperturbed, and the residual re-measured here and its
-    a-posteriori certificate decide. The solve fails when M(t) becomes
-    singular or overflows, or after ``max_iter`` iterations, and then
-    raises ScalingConvergenceError with the blocking subset of the last
-    iterate, if the scan finds one. Raises ValueError for a delta that is
-    not positive and finite, max_iter < 0 or a zero frame vector.
+    Requires d/n in the basis polytope of the frame, which
+    ``basis_polytope_membership`` decides for n <= 20. The solve fails when
+    M(t) becomes singular or overflows, or after ``max_iter`` iterations,
+    and then raises ScalingConvergenceError with the blocking subset of the
+    last iterate, if the scan finds one. Raises ValueError for a delta that
+    is not positive and finite, max_iter < 0 or a zero frame vector.
 
     The iterates start at t = 0. Each iteration builds A and the rows
     U A^T of t with ``_scaling_state``, tests the rows for convergence,
@@ -376,18 +360,18 @@ def solve_radial_isotropic(
         raise ValueError(f"delta must be positive and finite, got {delta!r}")
     if max_iter < 0:
         raise ValueError(f"max_iter must be nonnegative, got {max_iter}")
-    ca = validate_coefficients(c, frame.d, frame.n)
+    c = frame.d / frame.n
     vecs = frame.vectors
     dead = np.flatnonzero(frame.squared_norms() == 0.0)
     if dead.size:
         raise ValueError(f"frame has a zero vector at index {dead[0]}")
     t = np.zeros(frame.n)
-    f0 = _potential(vecs, ca, t)
+    f0 = _potential(vecs, c, t)
 
     def fail(reason: str, resid: float, iterations: int) -> ScalingConvergenceError:
-        blocking = _blocking_prefix(vecs, ca, t)
+        blocking = _blocking_prefix(vecs, c, t)
         hint = (
-            f"c lies outside the basis polytope: blocking subset {list(blocking)}"
+            f"d/n lies outside the basis polytope: blocking subset {list(blocking)}"
             if blocking is not None
             else "no blocking subset found in the last iterate"
         )
@@ -403,10 +387,10 @@ def solve_radial_isotropic(
     iterations = 0
     while True:
         try:
-            A, images = _scaling_state(vecs, ca, t)
+            A, images = _scaling_state(vecs, c, t)
         except np.linalg.LinAlgError as exc:
             raise fail(str(exc), float("inf"), iterations) from None
-        _, resid, stationarity, converged = _isotropy_test(images, ca, t, delta)
+        _, resid, stationarity, converged = _isotropy_test(images, c, t, delta)
         if converged:
             return ScalingSolution(
                 t=t.copy(),
@@ -419,8 +403,8 @@ def solve_radial_isotropic(
         if iterations >= max_iter:
             raise fail(f"no convergence within {max_iter} iterations", resid, iterations)
 
-        Y = images * np.sqrt(ca * np.exp(t))[:, None]
-        g = (Y**2).sum(axis=1) - ca
+        Y = images * np.sqrt(c * np.exp(t))[:, None]
+        g = (Y**2).sum(axis=1) - c
         try:
             p = _newton_direction(Y, g)
         except np.linalg.LinAlgError:
@@ -437,7 +421,7 @@ def solve_radial_isotropic(
         for halvings in range(_MAX_HALVINGS + 1):
             trial = t + step * p
             trial -= trial.mean()
-            f_trial = _potential(vecs, ca, trial)
+            f_trial = _potential(vecs, c, trial)
             if halvings == _MAX_HALVINGS or f_trial <= f0 + _ARMIJO_C * step * slope + noise:
                 break
             step *= 0.5

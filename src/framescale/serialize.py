@@ -25,10 +25,12 @@ the float, so the bytes equal those of the nested-list form that
 ``report_to_dict`` returns. ``read_report`` also loads ``framescale/1``
 reports, where every array is a nested list, and whitespace is part of
 neither schema. A report stores the largest isotropy residual entry,
-not the matrix J; ``reverify`` recomputes it from the frames. A non-finite
-entry of ``scaling.t`` or ``scaling.A`` makes a report malformed in either
-schema. An infinite ``scaling.residual_inf`` or
-``scaling.stationarity_gap`` is written as ``null`` and reads back as inf.
+not the matrix J; ``reverify`` recomputes it from the frames. A report in
+either schema is malformed when ``scaling.t`` or ``scaling.A`` holds a
+non-finite entry, when ``delta`` or ``delta_solver`` is not positive and
+finite, or when ``d`` or ``n`` disagrees with the input frame. An infinite
+``scaling.residual_inf`` or ``scaling.stationarity_gap`` is written as
+``null`` and reads back as inf.
 """
 
 from __future__ import annotations
@@ -276,6 +278,11 @@ def _report_from_dict(data: dict) -> RepairReport:
     else:
         input_frame = frame_from_dict(frames["input"])
         perturbed_frame = frame_from_dict(frames["perturbed"])
+    for name in ("delta", "delta_solver"):
+        if not 0.0 < float(data[name]) < math.inf:
+            raise ValueError(f"malformed report: {name} {data[name]!r} is not positive and finite")
+    if (data["d"], data["n"]) != (input_frame.d, input_frame.n):
+        raise ValueError(f"malformed report: d={data['d']}, n={data['n']} disagree with the input")
     return RepairReport(
         input_frame=input_frame,
         perturbed_frame=perturbed_frame,

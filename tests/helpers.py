@@ -6,7 +6,7 @@ from itertools import combinations
 
 import numpy as np
 
-from framescale import Frame, majorizes, scaling_potential, transport_distance
+from framescale import Frame, frame_metrics, majorizes, scaling_potential, transport_distance
 from framescale.majorization import MAJORIZATION_TOL
 from framescale.polytope import RANK_RTOL, numerical_rank
 from framescale.repair import _AUDIT_ATOL
@@ -56,7 +56,7 @@ def eps_op_bruteforce(S: np.ndarray, lo: float = 0.0, hi: float = 64.0) -> float
     return hi
 
 
-def fd_gradient(frame: Frame, c, t, step: float = 1e-6) -> np.ndarray:
+def fd_gradient(frame: Frame, t, step: float = 1e-6) -> np.ndarray:
     """Central finite differences of the scaling potential."""
     t = np.asarray(t, dtype=float)
     grad = np.zeros_like(t)
@@ -65,8 +65,26 @@ def fd_gradient(frame: Frame, c, t, step: float = 1e-6) -> np.ndarray:
         down = t.copy()
         up[i] += step
         down[i] -= step
-        grad[i] = (scaling_potential(frame, c, up) - scaling_potential(frame, c, down)) / (2 * step)
+        grad[i] = (scaling_potential(frame, up) - scaling_potential(frame, down)) / (2 * step)
     return grad
+
+
+def alternating_projections(frame: Frame, delta: float, max_iter: int = 1000) -> Frame:
+    """The alternating projections of Tropp, Dhillon, Heath & Strohmer (2005).
+
+    Alternates the nearest Parseval frame, the polar factor W (W^T W)^{-1/2},
+    with the nearest equal norm frame, every row rescaled to squared norm
+    d/n, from the input until the nearness eps is at most delta.
+    """
+    target = np.sqrt(frame.d / frame.n)
+    W = frame.vectors
+    for _ in range(max_iter + 1):
+        W = target * W / np.linalg.norm(W, axis=1)[:, None]
+        if frame_metrics(Frame(W)).eps <= delta:
+            return Frame(W)
+        eigs, Q = np.linalg.eigh(W.T @ W)
+        W = W @ ((Q / np.sqrt(eigs)) @ Q.T)
+    raise AssertionError(f"alternating projections missed eps <= {delta} in {max_iter} steps")
 
 
 def random_majorizing_pair(rng: np.random.Generator, d: int) -> tuple[np.ndarray, np.ndarray]:

@@ -78,13 +78,22 @@ def set_stored_t0(report_path, value: float) -> None:
     report_path.write_text(json.dumps(data))
 
 
-@pytest.mark.parametrize("damage", ["no_budget", "not_an_object", "seed_beyond_64_bits", "nan_t"])
+# "field=value" stores a run parameter that repair refuses, or a d or n
+# that disagrees with the input frame.
+@pytest.mark.parametrize(
+    "damage",
+    ["no_budget", "not_an_object", "seed_beyond_64_bits", "nan_t",
+     "delta=-1", "delta=0", "delta_solver=-1e-10", "d=3", "n=13"],
+)
 def test_malformed_report_is_config_error(tmp_path, capsys, damage):
     report_path = repaired_report(tmp_path, "json")
     if damage == "nan_t":
         set_stored_t0(report_path, np.nan)
     data = json.loads(report_path.read_text())
-    if damage == "no_budget":
+    if "=" in damage:
+        field, value = damage.split("=")
+        data[field] = json.loads(value)
+    elif damage == "no_budget":
         del data["budget"]
     elif damage == "seed_beyond_64_bits":
         data["seed"] = 2**64 + 1
@@ -97,6 +106,31 @@ def test_malformed_report_is_config_error(tmp_path, capsys, damage):
     error = stderr_error(capsys)
     assert error["type"] == "config"
     assert error["message"].startswith("malformed report:")
+
+
+@pytest.mark.parametrize("eta_max", [None, 1e-3, 1e300])
+def test_audit_derives_the_budget_from_the_input(tmp_path, capsys, eta_max):
+    # Output vectors rotated by 1e-3 rad fail check (e) whatever budget the
+    # file claims: a larger stored eta_max neither widens gamma' nor overflows.
+    report_path = repaired_report(tmp_path, "json")
+    data = json.loads(report_path.read_text())
+    stored_eta = data["budget"]["eta_max"]
+    vectors = np.array(data["frames"]["output"]["vectors"])
+    cos, sin = np.cos(1e-3), np.sin(1e-3)
+    vectors[:, :2] = vectors[:, :2] @ np.array([[cos, sin], [-sin, cos]])
+    data["frames"]["output"]["vectors"] = vectors.tolist()
+    if eta_max is not None:
+        data["budget"]["eta_max"] = eta_max
+    report_path.write_text(json.dumps(data))
+    capsys.readouterr()
+    audit_path = tmp_path / "audit.json"
+    code = main(["audit", "--input", str(report_path), "--output", str(audit_path)])
+    assert code == EXIT_CERTIFICATION
+    assert stderr_error(capsys)["type"] == "certification"
+    payload = json.loads(audit_path.read_text())
+    assert payload["budget"]["eta_max"] == stored_eta
+    failed = [check["name"] for check in payload["audit"]["checks"] if not check["passed"]]
+    assert "norm_rescaling_distance" in failed
 
 
 def test_overflowing_stored_t_is_uncertified(tmp_path, capsys):

@@ -51,7 +51,6 @@ PUBLIC_API = [
     "scaling_potential",
     "solve_radial_isotropic",
     "transport_distance",
-    "uniform_coefficients",
 ]
 
 

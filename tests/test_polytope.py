@@ -10,7 +10,6 @@ from framescale import (
     generate_enpf,
     perturb_frame,
     renormalize,
-    uniform_coefficients,
 )
 
 from helpers import (
@@ -26,30 +25,22 @@ PARALLEL = Frame(np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 1.0]]))
 
 class TestBasisPolytope:
     def test_generic_triple_uniform(self):
-        assert basis_polytope_membership(TRIPLE, uniform_coefficients(2, 3)) is None
+        assert basis_polytope_membership(TRIPLE) is None
 
     def test_parallel_pair_blocks_uniform(self):
-        assert basis_polytope_membership(PARALLEL, uniform_coefficients(2, 3)) == (0, 1)
+        assert basis_polytope_membership(PARALLEL) == (0, 1)
 
     def test_orthonormal_basis_all_ones(self):
-        assert basis_polytope_membership(Frame(np.eye(3)), np.ones(3)) is None
-
-    def test_sum_constraint_enforced(self):
-        with pytest.raises(ValueError):
-            basis_polytope_membership(TRIPLE, np.array([0.5, 0.5, 0.5]))
-
-    def test_negative_coefficients_rejected(self):
-        with pytest.raises(ValueError):
-            basis_polytope_membership(TRIPLE, np.array([-0.5, 1.5, 1.0]))
+        assert basis_polytope_membership(Frame(np.eye(3))) is None
 
     def test_size_cap_refused(self):
         big = Frame(np.ones((21, 2)))
         with pytest.raises(ValueError):
-            basis_polytope_membership(big, uniform_coefficients(2, 21))
+            basis_polytope_membership(big)
 
     def test_non_spanning_frame_excluded(self):
         flat = Frame(np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]))
-        assert basis_polytope_membership(flat, uniform_coefficients(2, 3)) is not None
+        assert basis_polytope_membership(flat) is not None
 
 
 class TestAllDSubsets:
@@ -160,8 +151,8 @@ class TestSupportFunction:
                 frame, _ = planted_frame(rng, d, n, 1)
             else:
                 frame = random_generic_frame(rng, d, n)
-            c = uniform_coefficients(d, n)
-            violation = basis_polytope_membership(frame, c)
+            c = np.full(n, d / n)
+            violation = basis_polytope_membership(frame)
             if violation is None:
                 for _ in range(300):
                     u = np.abs(rng.standard_normal(n))
