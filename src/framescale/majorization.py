@@ -14,10 +14,14 @@ coordinate differences, so the factor 2 is tight, e.g. x=(1,0), y=(0,1)).
 
 ``majorization_rows`` evaluates both the majorization test and T on
 paired rows of (..., d) arrays, along the last axis; the 1-D
-``majorizes`` and ``transport_distance`` call it on a single row.
+``majorizes`` and ``transport_distance`` call it on a single row. Prefix
+sums x @ P, l1 masses |x| @ P[0] and transports (y - x) @ (1, ..., d) are
+products with P = ``_upper_ones(d)``, the cached read-only triangle of ones.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -36,6 +40,14 @@ def _pair(x, y) -> tuple[np.ndarray, np.ndarray]:
     return xa, ya
 
 
+@functools.lru_cache(maxsize=16)
+def _upper_ones(d: int) -> np.ndarray:
+    """The read-only d x d upper-triangular matrix of ones; x @ it prefix-sums x."""
+    tri = np.triu(np.ones((d, d)))
+    tri.setflags(write=False)
+    return tri
+
+
 def majorization_rows(x, y) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise majorization flags and transport distances of paired rows.
 
@@ -47,13 +59,16 @@ def majorization_rows(x, y) -> tuple[np.ndarray, np.ndarray]:
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    px = np.cumsum(x, axis=-1)
-    py = np.cumsum(y, axis=-1)
-    slack = MAJORIZATION_TOL * (1.0 + np.abs(x).sum(axis=-1))
+    tri = _upper_ones(x.shape[-1])
+    return _rows_from_prefix(x, y, x @ tri, y @ tri)
+
+
+def _rows_from_prefix(x, y, px, py) -> tuple[np.ndarray, np.ndarray]:
+    """``majorization_rows`` of x and y, given their prefix sums px and py."""
+    slack = MAJORIZATION_TOL * (1.0 + np.abs(x) @ _upper_ones(x.shape[-1])[0])
     totals_agree = np.abs(px[..., -1] - py[..., -1]) <= slack
     flags = totals_agree & np.all(px >= py - slack[..., None], axis=-1)
-    j = np.arange(1, x.shape[-1] + 1, dtype=float)
-    return flags, (j * (y - x)).sum(axis=-1)
+    return flags, (y - x) @ np.arange(1.0, x.shape[-1] + 1.0)
 
 
 def majorizes(x, y) -> bool:

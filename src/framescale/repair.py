@@ -25,7 +25,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .frames import Frame, FrameMetrics, dist_sq, frame_metrics, renormalize
-from .majorization import MAJORIZATION_TOL, majorization_rows, transport_distance
+from .frames import _eps_norm, _row_sq_norms
+from .majorization import MAJORIZATION_TOL, _rows_from_prefix, _upper_ones, transport_distance
 from .polytope import SUBSET_CAP, all_d_subsets_independent
 from .scaling import (
     DEFAULT_MAX_ITER,
@@ -179,7 +180,7 @@ def perturb_to_general_position(frame: Frame, budget: PerturbationBudget, seed: 
         else:
             rng = spawn_rng(seed, 3, attempt)
             eta = rng.standard_normal(frame.vectors.shape)
-            eta *= budget.eta_max / np.sqrt((eta**2).sum(axis=1))[:, None]
+            eta *= budget.eta_max / np.sqrt(_row_sq_norms(eta))[:, None]
             candidate = Frame(frame.vectors + eta)
         if all_d_subsets_independent(candidate):
             return candidate
@@ -210,7 +211,7 @@ def repair(
         raise ValueError("input frame contains a zero vector")
     metrics = frame_metrics(frame)
     eps = metrics.eps
-    if eps >= EPS_INPUT_MAX:
+    if not eps < EPS_INPUT_MAX:  # also rejects a NaN
         raise ValueError(f"input eps={eps:.3g} is not below {EPS_INPUT_MAX}")
 
     budget = PerturbationBudget.for_input(eps, d, n)
@@ -218,8 +219,7 @@ def repair(
     delta_solver = delta / d
     solution = solve_radial_isotropic(perturbed, delta_solver, max_iter=max_iter)
     images = _images(perturbed, solution.A)
-    norms = np.sqrt((images**2).sum(axis=1))
-    output = Frame(math.sqrt(d / n) * images / norms[:, None])
+    output = renormalize(Frame(images), d / n)
     return _certify(
         frame, metrics, perturbed, output, solution, budget, delta, delta_solver, seed
     )
@@ -285,7 +285,7 @@ def _certify(
         dist_sq_uw=dist_sq(U, W),
         bound=bound,
         budget=budget,
-        gamma_prime_effective=max(budget.gamma_prime, frame_metrics(U).eps_norm),
+        gamma_prime_effective=max(budget.gamma_prime, _eps_norm(U)),
         scaling=scaling,
         delta=delta,
         delta_solver=delta_solver,
@@ -318,8 +318,9 @@ def audit_lemma_chain(report: RepairReport) -> AuditRecord:
           dist^2(V, W) <= 20 eps d^2.
 
     The per-vector statements (a) and (b) are evaluated row-wise over all
-    n vectors at once by ``majorization_rows``, with the same per-vector
-    slack and transport as ``majorizes`` and ``transport_distance``.
+    n vectors at once, with the same per-vector slack and transport as
+    ``majorizes`` and ``transport_distance``; the prefix sums of x and y
+    are taken once, for (a) and for the majorization flags.
 
     Failures are recorded in the returned checks, never raised: a
     singular A is audited like any other, and a u_i that A maps to zero
@@ -338,8 +339,8 @@ def audit_lemma_chain(report: RepairReport) -> AuditRecord:
 
     x = rotated_u**2
     y = wtilde**2
-    prefix_x = np.cumsum(x, axis=1)
-    prefix_y = np.cumsum(y, axis=1)
+    prefix_x = x @ _upper_ones(d)
+    prefix_y = y @ _upper_ones(d)
     mass = 1.0 + float(np.abs(x).sum())
 
     checks: list[AuditCheck] = []
@@ -348,7 +349,7 @@ def audit_lemma_chain(report: RepairReport) -> AuditRecord:
     worst_prefix = float((prefix_x - prefix_y).max())
     total_gap = float(np.abs(prefix_x[:, -1] - prefix_y[:, -1]).max())
     prefix_tol = MAJORIZATION_TOL * mass
-    row_major, row_transport = majorization_rows(y, x)
+    row_major, row_transport = _rows_from_prefix(y, x, prefix_y, prefix_x)
     all_major = bool(row_major.all())
     checks.append(
         AuditCheck(

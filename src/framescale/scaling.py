@@ -56,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import Frame
+from .frames import Frame, _row_sq_norms
 from .polytope import _VIOLATION_TOL, RANK_RTOL, numerical_rank
 
 DEFAULT_MAX_ITER = 200
@@ -193,7 +193,7 @@ def scaling_gradient(frame: Frame, t) -> np.ndarray:
     """Gradient g_i = (d/n) (e^{t_i} u_i^T M(t)^{-1} u_i - 1); sums to zero."""
     c = frame.d / frame.n
     Y = _whitened(frame.vectors, c, _as_t(frame, t))
-    return (Y**2).sum(axis=1) - c
+    return _row_sq_norms(Y) - c
 
 
 def scaling_hessian(frame: Frame, t) -> np.ndarray:
@@ -215,14 +215,14 @@ def _isotropy_test(
 
     Returns J = c sum_i w_i w_i^T - I for w_i = A u_i / ||A u_i||, its
     largest entry in absolute value, the stationarity gap
-    max_i |e^{t_i} ||A u_i||^2 - 1|, and whether both meet delta. A t_i
-    whose exponential overflows gives an infinite gap, never a warning.
+    max_i |e^{t_i} ||A u_i||^2 - 1|, and whether both meet delta. An
+    overflow of e^{t_i} or of ||A u_i||^2 fails the gap test, never warns.
     """
-    norms2 = (images**2).sum(axis=1)
+    norms2 = _row_sq_norms(images)
     unit = images / np.sqrt(norms2)[:, None]
     J = (unit.T * c) @ unit - np.eye(images.shape[1])
     resid = float(np.abs(J).max())
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         gap = float(np.abs(np.exp(t) * norms2 - 1.0).max())
     return J, resid, gap, bool(resid <= delta and gap <= STATIONARITY_FACTOR * delta)
 
@@ -233,7 +233,7 @@ def _images(frame: Frame, A) -> np.ndarray:
     if Aa.shape != (frame.d, frame.d):
         raise ValueError(f"A must be {frame.d} x {frame.d}, got {Aa.shape}")
     images = frame.vectors @ Aa.T
-    dead = np.flatnonzero((images**2).sum(axis=1) == 0.0)
+    dead = np.flatnonzero(_row_sq_norms(images) == 0.0)
     if dead.size:
         raise ValueError(f"A u_i = 0 at index {dead[0]}; A is singular on the frame")
     return images
@@ -249,10 +249,10 @@ def isotropy_residual(frame: Frame, A) -> tuple[np.ndarray, float]:
     return J, resid
 
 
-def _newton_direction(Y: np.ndarray, g: np.ndarray) -> np.ndarray:
+def _newton_direction(Y: np.ndarray, q: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Solve (H + tau 11^T/n + 1e-14 I) p = -g for the Newton direction.
 
-    H = diag(q) - G o G with q_i = ||y_i||^2 and G = Y Y^T; tau = tr(H)/n
+    H = diag(q) - G o G with q_i = ||y_i||^2, passed in, and G = Y Y^T; tau = tr(H)/n
     (at least 1e-14) pins the gauge direction 1 without disturbing g, whose
     entries sum to zero. With G o G = K K^T the system matrix is
     D + U S U^T for D = diag(q) + 1e-14 I, U = [K, 1/sqrt(n)] and
@@ -265,7 +265,6 @@ def _newton_direction(Y: np.ndarray, g: np.ndarray) -> np.ndarray:
     singular.
     """
     n, d = Y.shape
-    q = (Y**2).sum(axis=1)
     tau = max(float(q.sum() - q @ q) / n, 1e-14)
     r = d * (d + 1) // 2
     if n <= r + 1:
@@ -343,18 +342,18 @@ def solve_radial_isotropic(
     last iterate, if the scan finds one. Raises ValueError for a delta that
     is not positive and finite, max_iter < 0 or a zero frame vector.
 
-    The iterates start at t = 0. Each iteration builds A and the rows
-    U A^T of t with ``_scaling_state``, tests the rows for convergence,
-    whitens them once (Y = images * sqrt(c e^t)), reads the gradient off
-    their squared norms and takes the Newton direction from
-    ``_newton_direction``: through Woodbury on the rank-r factor K of
-    G o G when n > d(d+1)/2 + 1, so time is O(n d^4 + d^6) and memory one
-    (d(d+1)/2 + 1) x n buffer, and otherwise by a dense solve of a single
-    n x n matrix. A singular system or a non-descent direction falls back
-    to -g. The Armijo line search gauge-fixes each trial point and takes
-    its f from ``_potential``, O(n d^2 + d^3) per trial; f at t = 0 is
-    evaluated once before the loop, and the accepted trial's f serves as
-    f0 of the next iteration, so every point's f is computed once.
+    The iterates start at t = 0. Each iteration builds A and the rows U A^T
+    of t with ``_scaling_state``, tests the rows for convergence, whitens
+    them once (Y = images * sqrt(c e^t)), takes their squared norms q once,
+    reads the gradient g = q - c off them and takes the Newton direction
+    from ``_newton_direction(Y, q, g)``: through Woodbury on the rank-r
+    factor K of G o G when n > d(d+1)/2 + 1, so time is O(n d^4 + d^6) and
+    memory one (d(d+1)/2 + 1) x n buffer, and otherwise by a dense solve of
+    a single n x n matrix. A singular system or a non-descent direction
+    falls back to -g. The Armijo line search gauge-fixes each trial point
+    and takes its f from ``_potential``, O(n d^2 + d^3) per trial; f at
+    t = 0 is evaluated once before the loop, and the accepted trial's f
+    serves as f0 of the next iteration, so every point's f is computed once.
     """
     if not 0.0 < delta < math.inf:
         raise ValueError(f"delta must be positive and finite, got {delta!r}")
@@ -404,9 +403,10 @@ def solve_radial_isotropic(
             raise fail(f"no convergence within {max_iter} iterations", resid, iterations)
 
         Y = images * np.sqrt(c * np.exp(t))[:, None]
-        g = (Y**2).sum(axis=1) - c
+        q = _row_sq_norms(Y)
+        g = q - c
         try:
-            p = _newton_direction(Y, g)
+            p = _newton_direction(Y, q, g)
         except np.linalg.LinAlgError:
             p = -g
         if g @ p >= 0:

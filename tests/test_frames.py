@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from framescale import (
     perturb_frame,
     renormalize,
 )
+from framescale.frames import _row_sq_norms
 
 from helpers import eps_op_bruteforce, mercedes_frame
 
@@ -39,6 +42,22 @@ class TestFrameType:
         f = Frame(np.eye(2))
         with pytest.raises(ValueError):
             f.vectors[0, 0] = 5.0
+
+
+class TestRowKernel:
+    def test_matches_sum_of_squares(self):
+        rng = np.random.default_rng(8)
+        for n, d in [(1, 1), (7, 3), (2048, 8), (64, 16), (256, 64)]:
+            X = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-3, 3, size=(n, 1))
+            np.testing.assert_allclose(_row_sq_norms(X), (X**2).sum(axis=1), rtol=1e-15, atol=0)
+
+    def test_zero_row_is_exactly_zero(self):
+        X = np.array([[0.0, 0.0, 0.0], [1.0, -2.0, 2.0], [-0.0, 0.0, -0.0]])
+        np.testing.assert_array_equal(_row_sq_norms(X), [0.0, 9.0, 0.0])
+
+    def test_overflow_is_inf_without_warning(self):
+        X = np.array([[1e200, 0.0], [3.0, 4.0]])
+        np.testing.assert_array_equal(_row_sq_norms(X), [math.inf, 25.0])
 
 
 class TestFrameOperator:
@@ -83,6 +102,10 @@ class TestFrameMetrics:
             m = frame_metrics(f)
             assert m.eps == max(m.eps_op, m.eps_norm)
             assert m.eps_op >= 0 and m.eps_norm >= 0
+
+    def test_overflowing_norm_gives_infinite_eps(self):
+        m = frame_metrics(Frame(np.array([[1e160, 0.0], [0.0, 1.0], [1.0, 1.0]])))
+        assert m.eps_op == m.eps_norm == m.eps == math.inf
 
     def test_degenerate_reported_not_raised(self):
         m = frame_metrics(Frame(np.array([[1.0, 0.0], [2.0, 0.0]])))
@@ -200,6 +223,11 @@ class TestRenormalize:
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
             renormalize(Frame(np.array([[0.0, 0.0], [1.0, 0.0]])), 1.0)
+
+    def test_overflowing_vector_rejected(self):
+        frame = Frame(np.array([[0.0, 1.0], [1e200, 0.0], [1.0, 1.0]]))
+        with pytest.raises(ValueError, match="vector 1: squared norm inf"):
+            renormalize(frame, 2.0 / 3.0)
 
     def test_bad_target_rejected(self):
         with pytest.raises(ValueError):

@@ -5,11 +5,30 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from framescale import majorizes, transport_distance
-from framescale.majorization import majorization_rows
+from framescale.majorization import _upper_ones, majorization_rows
 
 from helpers import random_majorizing_pair, wasserstein_prefix
 
 finite_seq = arrays(np.float64, st.integers(1, 8), elements=st.floats(-50, 50))
+
+
+class TestPrefixKernel:
+    def test_triangle_is_cached_and_read_only(self):
+        tri = _upper_ones(5)
+        assert tri is _upper_ones(5)
+        np.testing.assert_array_equal(tri, np.triu(np.ones((5, 5))))
+        with pytest.raises(ValueError):
+            tri[1, 0] = 1.0
+
+    @pytest.mark.parametrize("d", [1, 3, 8, 64])
+    def test_prefix_product_matches_cumsum(self, d):
+        # Each summation order is within (d - 1) u times the prefix sums of |x| of the
+        # exact prefix sums, so two orders differ by less than 2 d u times those.
+        rng = np.random.default_rng(d)
+        x = rng.standard_normal((200, d))
+        for rows in (x, x * 10.0 ** rng.uniform(-150, 150, size=x.shape)):
+            bound = 2 * d * np.finfo(float).eps * np.cumsum(np.abs(rows), axis=1)
+            assert np.all(np.abs(rows @ _upper_ones(d) - np.cumsum(rows, axis=1)) <= bound)
 
 
 class TestMajorizes:

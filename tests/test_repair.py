@@ -183,6 +183,18 @@ class TestRepair:
         with pytest.raises(ValueError):
             repair(frame, 1e-9, seed=0)
 
+    def test_rejects_overflowing_input_by_its_eps(self):
+        frame = Frame(np.array([[1e160, 0.0], [0.0, 1.0], [1.0, 1.0]]))
+        with pytest.raises(ValueError, match="input eps=inf is not below 0.5"):
+            repair(frame, 1e-9, seed=0)
+
+    def test_rejects_nan_eps(self, monkeypatch):
+        nan = framescale.FrameMetrics(eps_op=math.nan, eps_norm=math.nan, eps=math.nan)
+        module = importlib.import_module("framescale.repair")
+        monkeypatch.setattr(module, "frame_metrics", lambda frame: nan)
+        with pytest.raises(ValueError, match="input eps=nan is not below 0.5"):
+            repair(mercedes_frame(), 1e-9, seed=0)
+
     def test_rejects_bad_delta(self):
         for delta in (-1e-9, math.nan, math.inf):
             with pytest.raises(ValueError):

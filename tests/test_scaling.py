@@ -303,7 +303,8 @@ class TestNewtonDirection:
         tau = max(np.trace(H) / n, 1e-14)
         reg = H + tau * np.ones((n, n)) / n + 1e-14 * np.eye(n)
         expected = -np.linalg.solve(reg, g)
-        p = _newton_direction(_whitened(frame.vectors, d / n, t), g)
+        Y = _whitened(frame.vectors, d / n, t)
+        p = _newton_direction(Y, (Y**2).sum(axis=1), g)
         assert np.linalg.norm(p - expected) <= 1e-9 * np.linalg.norm(expected)
 
     # The low-rank path holds one (r+1) x n buffer, the dense path one n x n.
@@ -312,12 +313,13 @@ class TestNewtonDirection:
         rng = np.random.default_rng(4)
         frame = random_generic_frame(rng, d, n)
         Y = _whitened(frame.vectors, d / n, rng.standard_normal(n) * 0.5)
-        g = (Y**2).sum(axis=1) - d / n
+        q = (Y**2).sum(axis=1)
+        g = q - d / n
         r = d * (d + 1) // 2
         buffer_bytes = 8 * n * ((r + 1) if n > r + 1 else n)
         tracemalloc.start()
         try:
-            _newton_direction(Y, g)
+            _newton_direction(Y, q, g)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -336,6 +338,15 @@ class TestNewtonDirection:
         assert peak < 64 * 2**20
         _, resid = isotropy_residual(frame, sol.A)
         assert resid <= 1e-9
+
+
+class TestIsotropyTest:
+    @pytest.mark.parametrize("t", [[0.0, 0.0, 0.0], [-800.0, 400.0, 400.0]])
+    def test_overflowing_row_fails_without_warning(self, t):
+        images = np.array([[1e200, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        _, _, gap, converged = scaling._isotropy_test(images, 2.0 / 3.0, np.array(t), 1.0)
+        assert not converged
+        assert not gap <= scaling.STATIONARITY_FACTOR
 
 
 class TestVerify:
