@@ -91,15 +91,16 @@ def frame_metrics(frame: Frame) -> FrameMetrics:
     A degenerate frame operator (zero eigenvalue) simply reports
     eps_op >= 1; it is not an error. An overflow reports inf.
     """
-    with np.errstate(over="ignore"):
-        eigs = np.linalg.eigvalsh(frame_operator(frame))
-    eps_op = float(max(1.0 - eigs[0], eigs[-1] - 1.0, 0.0)) if np.all(np.isfinite(eigs)) else np.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        S = frame_operator(frame)
+    eigs = np.linalg.eigvalsh(S) if np.isfinite(S).all() else np.array([np.inf])
+    eps_op = float(max(1.0 - eigs[0], eigs[-1] - 1.0, 0.0))
     eps_norm = _eps_norm(frame)
     return FrameMetrics(eps_op=eps_op, eps_norm=eps_norm, eps=max(eps_op, eps_norm))
 
 
 def _eps_norm(frame: Frame) -> float:
-    return float(np.max(np.abs(frame.squared_norms() / (frame.d / frame.n) - 1.0)))
+    return float(np.abs(frame.squared_norms() / (frame.d / frame.n) - 1.0).max())
 
 
 def dist_sq(first: Frame, second: Frame) -> float:

@@ -12,11 +12,9 @@ W(x, y) = sum_j |prefix_x(j) - prefix_y(j)|, and it bounds the l1 gap via
 ||x - y||_1 <= 2 T(x, y) (one unit of mass moved one index fixes two
 coordinate differences, so the factor 2 is tight, e.g. x=(1,0), y=(0,1)).
 
-``majorization_rows`` evaluates both the majorization test and T on
-paired rows of (..., d) arrays, along the last axis; the 1-D
-``majorizes`` and ``transport_distance`` call it on a single row. Prefix
-sums x @ P, l1 masses |x| @ P[0] and transports (y - x) @ (1, ..., d) are
-products with P = ``_upper_ones(d)``, the cached read-only triangle of ones.
+``majorization_rows`` evaluates the majorization test and T on paired rows
+of (..., d) arrays along the last axis, prefix-summed by ``_prefix_sums``;
+the 1-D ``majorizes`` and ``transport_distance`` call it on a single row.
 """
 
 from __future__ import annotations
@@ -59,13 +57,18 @@ def majorization_rows(x, y) -> tuple[np.ndarray, np.ndarray]:
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    tri = _upper_ones(x.shape[-1])
-    return _rows_from_prefix(x, y, x @ tri, y @ tri)
+    return _rows_from_prefix(x, y, _prefix_sums(x), _prefix_sums(y))
+
+
+def _prefix_sums(x: np.ndarray) -> np.ndarray:
+    """Prefix sums along the last axis; the d x d triangle only if it is no larger than x."""
+    d = x.shape[-1]
+    return x @ _upper_ones(d) if d * d <= x.size else np.cumsum(x, axis=-1)
 
 
 def _rows_from_prefix(x, y, px, py) -> tuple[np.ndarray, np.ndarray]:
     """``majorization_rows`` of x and y, given their prefix sums px and py."""
-    slack = MAJORIZATION_TOL * (1.0 + np.abs(x) @ _upper_ones(x.shape[-1])[0])
+    slack = MAJORIZATION_TOL * (1.0 + np.abs(x) @ np.ones(x.shape[-1]))
     totals_agree = np.abs(px[..., -1] - py[..., -1]) <= slack
     flags = totals_agree & np.all(px >= py - slack[..., None], axis=-1)
     return flags, (y - x) @ np.arange(1.0, x.shape[-1] + 1.0)

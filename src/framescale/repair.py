@@ -24,9 +24,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .frames import Frame, FrameMetrics, dist_sq, frame_metrics, renormalize
-from .frames import _eps_norm, _row_sq_norms
-from .majorization import MAJORIZATION_TOL, _rows_from_prefix, _upper_ones, transport_distance
+from .frames import Frame, FrameMetrics, _eps_norm, _row_sq_norms, dist_sq, frame_metrics, renormalize
+from .majorization import MAJORIZATION_TOL, _prefix_sums, _rows_from_prefix, transport_distance
 from .polytope import SUBSET_CAP, all_d_subsets_independent
 from .scaling import (
     DEFAULT_MAX_ITER,
@@ -319,8 +318,7 @@ def audit_lemma_chain(report: RepairReport) -> AuditRecord:
 
     The per-vector statements (a) and (b) are evaluated row-wise over all
     n vectors at once, with the same per-vector slack and transport as
-    ``majorizes`` and ``transport_distance``; the prefix sums of x and y
-    are taken once, for (a) and for the majorization flags.
+    ``majorizes`` and ``transport_distance``, from one prefix sum of x and y.
 
     Failures are recorded in the returned checks, never raised: a
     singular A is audited like any other, and a u_i that A maps to zero
@@ -337,10 +335,8 @@ def audit_lemma_chain(report: RepairReport) -> AuditRecord:
         ratio = np.sqrt((rotated_u**2).sum(axis=1)) / np.sqrt((scaled**2).sum(axis=1))
         wtilde = scaled * ratio[:, None]
 
-    x = rotated_u**2
-    y = wtilde**2
-    prefix_x = x @ _upper_ones(d)
-    prefix_y = y @ _upper_ones(d)
+    x, y = rotated_u**2, wtilde**2
+    prefix_x, prefix_y = _prefix_sums(x), _prefix_sums(y)
     mass = 1.0 + float(np.abs(x).sum())
 
     checks: list[AuditCheck] = []

@@ -103,8 +103,13 @@ class TestFrameMetrics:
             assert m.eps == max(m.eps_op, m.eps_norm)
             assert m.eps_op >= 0 and m.eps_norm >= 0
 
-    def test_overflowing_norm_gives_infinite_eps(self):
-        m = frame_metrics(Frame(np.array([[1e160, 0.0], [0.0, 1.0], [1.0, 1.0]])))
+    # The second frame operator holds inf - inf = NaN off the diagonal.
+    @pytest.mark.parametrize(
+        "rows",
+        [[[1e160, 0.0], [0.0, 1.0], [1.0, 1.0]], [[1e160, 1e160], [1e160, -1e160], [0.0, 1.0]]],
+    )
+    def test_overflowing_norm_gives_infinite_eps(self, rows):
+        m = frame_metrics(Frame(np.array(rows)))
         assert m.eps_op == m.eps_norm == m.eps == math.inf
 
     def test_degenerate_reported_not_raised(self):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from framescale import majorizes, transport_distance
-from framescale.majorization import _upper_ones, majorization_rows
+from framescale.majorization import _prefix_sums, _upper_ones, majorization_rows
 
 from helpers import random_majorizing_pair, wasserstein_prefix
 
@@ -28,7 +30,21 @@ class TestPrefixKernel:
         x = rng.standard_normal((200, d))
         for rows in (x, x * 10.0 ** rng.uniform(-150, 150, size=x.shape)):
             bound = 2 * d * np.finfo(float).eps * np.cumsum(np.abs(rows), axis=1)
-            assert np.all(np.abs(rows @ _upper_ones(d) - np.cumsum(rows, axis=1)) <= bound)
+            assert np.all(np.abs(_prefix_sums(rows) - np.cumsum(rows, axis=1)) <= bound)
+            np.testing.assert_array_equal(_prefix_sums(rows[0]), np.cumsum(rows[0]))
+
+    def test_long_sequence_takes_linear_memory(self):
+        # A d x d triangle would take 8 d^2 bytes, 134 MB here.
+        d = 4096
+        x = np.linspace(1.0, 0.0, d)
+        tracemalloc.start()
+        try:
+            assert majorizes(x, np.full(d, x.mean()))
+            assert transport_distance(x, np.full(d, x.mean())) > 0.0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 8 * d
 
 
 class TestMajorizes:
