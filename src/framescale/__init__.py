@@ -20,7 +20,6 @@ from .polytope import (
 from .repair import (
     AuditCheck,
     AuditRecord,
-    PerturbationBudget,
     RepairReport,
     audit_lemma_chain,
     perturb_to_general_position,
@@ -56,7 +55,6 @@ __all__ = [
     "numerical_rank",
     "AuditCheck",
     "AuditRecord",
-    "PerturbationBudget",
     "RepairReport",
     "audit_lemma_chain",
     "perturb_to_general_position",

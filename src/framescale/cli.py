@@ -132,7 +132,7 @@ def _cmd_polytope(args: argparse.Namespace) -> int:
 def _cmd_solve_rip(args: argparse.Namespace) -> int:
     frame = read_frame(args.input)
     solution = solve_radial_isotropic(frame, args.delta, max_iter=args.max_iter)
-    _emit(scaling_to_dict(solution, frame.d), args.output)
+    _emit(scaling_to_dict(solution), args.output)
     return EXIT_OK
 
 

@@ -2,8 +2,8 @@
 
 Given an input frame V whose measured nearness eps is below 1/2, the
 pipeline (1) rescales every vector to squared norm d/n, (2) when the
-d-subsets are few enough to check them all, perturbs the frame within a
-budget negligible against all certified bounds until every d-subset is
+d-subsets are few enough to check them all, moves every vector by a norm
+eta_max negligible against all certified bounds until every d-subset is
 independent; past that cap the renormalized frame goes on unperturbed,
 (3) computes the radial isotropic scaling A for the coefficients d/n,
 which exists exactly when d/n lies in the basis polytope, and (4) outputs
@@ -14,7 +14,9 @@ to the solver residual. The report certifies
 
 with every quantity re-measured from the frames rather than trusted from
 the construction, and audit_lemma_chain re-derives the inequality chain
-behind the bound on the concrete instance.
+behind the bound on the concrete instance. No constant of that chain is
+fixed in advance: the norm drift gamma' is measured from the perturbed
+frame whenever it is read.
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ from .scaling import (
 )
 from .seeding import spawn_rng
 
-# Inputs at eps >= 1/2 are rejected: the sqrt(1 - eps) budget algebra
-# degrades and the certified bound is vacuous at small d anyway.
+# Inputs at eps >= 1/2 are rejected: the paper's bound is stated for
+# eps < 1/2 only, and at small d it is vacuous beyond that anyway.
 EPS_INPUT_MAX = 0.5
 
 _RETRY_CAP = 50
@@ -47,47 +49,21 @@ _RETRY_CAP = 50
 _AUDIT_ATOL = 1e-12
 
 
-@dataclass(frozen=True)
-class PerturbationBudget:
-    """Perturbation allowance and the derived bound constants.
+def _eta_max(eps: float, d: int, n: int) -> float:
+    """The norm by which the gate moves each vector, negligible against every bound.
 
-    ``gamma`` bounds the per-vector squared-distance overhead of any
-    perturbation with norm at most eta_max; ``gamma_prime`` bounds the
-    relative squared-norm drift, scaled by n/d.
+    It is the smallest of three caps: eps / (2n); the root of
+    eta^2 + 2 eta = gamma_max with gamma_max = (1 - sqrt(1 - eps)) eps d / n,
+    both written in forms that do not cancel at small eps; and
+    1e-8 sqrt(d/n). The certificate does not rely on this value: it
+    measures the perturbed frame.
     """
-
-    eta_max: float
-    gamma: float
-    gamma_prime: float
-
-    @classmethod
-    def from_eta_max(cls, eta_max: float, d: int, n: int) -> "PerturbationBudget":
-        if eta_max < 0:
-            raise ValueError("eta_max must be nonnegative")
-        gamma = eta_max**2 + 2.0 * eta_max
-        return cls(eta_max=eta_max, gamma=gamma, gamma_prime=(n / d) * gamma)
-
-    @classmethod
-    def for_input(cls, eps: float, d: int, n: int) -> "PerturbationBudget":
-        """Tightest budget satisfying every constant used by the bound.
-
-        The terms cap, in order: the norm drift that keeps the perturbed
-        frame 4 eps-nearly Parseval; the per-vector distance overhead
-        gamma at gamma_max = (1 - sqrt(1 - eps)) eps d / n, computed as
-        eps / (1 + sqrt(1 - eps)) eps d / n so that it does not cancel for
-        small eps, through the root of eta^2 + 2 eta = gamma_max, written
-        gamma_max / (1 + sqrt(1 + gamma_max)) for the same reason; and a
-        ceiling of 1e-8 sqrt(d/n), far below all bounds.
-        """
-        if not 0.0 <= eps < 1.0:
-            raise ValueError("eps must lie in [0, 1)")
-        gamma_max = eps / (1.0 + math.sqrt(1.0 - eps)) * eps * d / n
-        eta = min(
-            eps / (2.0 * n),
-            gamma_max / (1.0 + math.sqrt(1.0 + gamma_max)),
-            1e-8 * math.sqrt(d / n),
-        )
-        return cls.from_eta_max(max(eta, 0.0), d, n)
+    gamma_max = eps / (1.0 + math.sqrt(1.0 - eps)) * eps * d / n
+    return min(
+        eps / (2.0 * n),
+        gamma_max / (1.0 + math.sqrt(1.0 + gamma_max)),
+        1e-8 * math.sqrt(d / n),
+    )
 
 
 @dataclass(frozen=True)
@@ -135,8 +111,6 @@ class RepairReport:
     dist_sq_vu: float
     dist_sq_uw: float
     bound: float
-    budget: PerturbationBudget
-    gamma_prime_effective: float
     scaling: ScalingSolution
     delta: float
     delta_solver: float
@@ -152,9 +126,14 @@ class RepairReport:
     def n(self) -> int:
         return self.input_frame.n
 
+    @property
+    def gamma_prime_effective(self) -> float:
+        """gamma' = eps_norm(U), the norm drift of the perturbed frame, measured on each read."""
+        return _eps_norm(self.perturbed_frame)
 
-def perturb_to_general_position(frame: Frame, budget: PerturbationBudget, seed: int) -> Frame:
-    """Add a perturbation within budget until the frame is in general position.
+
+def perturb_to_general_position(frame: Frame, eta_max: float, seed: int) -> Frame:
+    """Move every vector by norm eta_max until the frame is in general position.
 
     A frame with more than ``SUBSET_CAP`` d-subsets is returned unchanged
     and unchecked: the solver's residual and the a-posteriori certificate
@@ -167,6 +146,8 @@ def perturb_to_general_position(frame: Frame, budget: PerturbationBudget, seed: 
     """
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
+    if not eta_max >= 0.0:
+        raise ValueError(f"eta_max must be nonnegative, got {eta_max}")
     if frame.n < frame.d:
         raise ValueError("general position requires n >= d")
     if math.comb(frame.n, frame.d) > SUBSET_CAP:
@@ -174,18 +155,18 @@ def perturb_to_general_position(frame: Frame, budget: PerturbationBudget, seed: 
     for attempt in range(_RETRY_CAP + 1):
         if attempt == 0:
             candidate = frame
-        elif budget.eta_max == 0.0:
+        elif eta_max == 0.0:
             break
         else:
             rng = spawn_rng(seed, 3, attempt)
             eta = rng.standard_normal(frame.vectors.shape)
-            eta *= budget.eta_max / np.sqrt(_row_sq_norms(eta))[:, None]
+            eta *= eta_max / np.sqrt(_row_sq_norms(eta))[:, None]
             candidate = Frame(frame.vectors + eta)
         if all_d_subsets_independent(candidate):
             return candidate
     raise RuntimeError(
         f"no general-position frame within {_RETRY_CAP} retries at "
-        f"eta_max={budget.eta_max:.3e}; the budget sits at machine-noise level"
+        f"eta_max={eta_max:.3e}; the budget sits at machine-noise level"
     )
 
 
@@ -213,39 +194,32 @@ def repair(
     if not eps < EPS_INPUT_MAX:  # also rejects a NaN
         raise ValueError(f"input eps={eps:.3g} is not below {EPS_INPUT_MAX}")
 
-    budget = PerturbationBudget.for_input(eps, d, n)
-    perturbed = perturb_to_general_position(renormalize(frame, d / n), budget, seed)
+    perturbed = perturb_to_general_position(renormalize(frame, d / n), _eta_max(eps, d, n), seed)
     delta_solver = delta / d
     solution = solve_radial_isotropic(perturbed, delta_solver, max_iter=max_iter)
     images = _images(perturbed, solution.A)
     output = renormalize(Frame(images), d / n)
-    return _certify(
-        frame, metrics, perturbed, output, solution, budget, delta, delta_solver, seed
-    )
+    return _certify(frame, metrics, perturbed, output, solution, delta, delta_solver, seed)
 
 
 def reverify(stored: RepairReport) -> RepairReport:
     """Rebuild a report from its frames and scaling alone.
 
-    Every metric, distance, residual, the perturbation budget and the
-    certification verdict are recomputed; only the raw frames, the
-    transformation, and the run parameters (delta, delta_solver, seed) are
-    taken from the stored report. The budget follows from the input's
-    measured eps as in ``repair``, so a stored budget is never trusted.
+    Every metric, distance, residual and the certification verdict are
+    recomputed; only the raw frames, the transformation, and the run
+    parameters (delta, delta_solver, seed) are taken from the stored report.
     """
     V, U, A = stored.input_frame, stored.perturbed_frame, stored.scaling.A
     _, resid, gap, converged = _isotropy_test(
         _images(U, A), V.d / V.n, stored.scaling.t, stored.delta_solver
     )
     scaling = replace(stored.scaling, residual_inf=resid, converged=converged, stationarity_gap=gap)
-    metrics = frame_metrics(V)
     return _certify(
         V,
-        metrics,
+        frame_metrics(V),
         U,
         stored.output_frame,
         scaling,
-        PerturbationBudget.for_input(metrics.eps, V.d, V.n),
         stored.delta,
         stored.delta_solver,
         stored.seed,
@@ -258,15 +232,14 @@ def _certify(
     U: Frame,
     W: Frame,
     scaling: ScalingSolution,
-    budget: PerturbationBudget,
     delta: float,
     delta_solver: float,
     seed: int,
 ) -> RepairReport:
     """The report on input V, perturbed U and output W, with its verdict.
 
-    ``metrics`` are those of V. Every distance, the bound, gamma'_eff and
-    the nearness of W are measured here; the verdict also needs
+    ``metrics`` are those of V. Every distance, the bound and the
+    nearness of W are measured here; the verdict also needs
     ``scaling.converged``, which the caller has measured.
     """
     dvw = dist_sq(V, W)
@@ -283,8 +256,6 @@ def _certify(
         dist_sq_vu=dist_sq(V, U),
         dist_sq_uw=dist_sq(U, W),
         bound=bound,
-        budget=budget,
-        gamma_prime_effective=max(budget.gamma_prime, _eps_norm(U)),
         scaling=scaling,
         delta=delta,
         delta_solver=delta_solver,
@@ -315,6 +286,10 @@ def audit_lemma_chain(report: RepairReport) -> AuditRecord:
       (f) composition: dist^2(V, W) <= 2 dist^2(V, U) + 2 dist^2(U, W),
           dist^2(U, W) <= 8 eps d^2 + 4 gamma' d^2, and the certified
           dist^2(V, W) <= 20 eps d^2.
+
+    gamma' = eps_norm(U) is measured from the report's perturbed frame,
+    never read from a stored value, so the audit of a report loaded from
+    disk uses the gamma' of its own U.
 
     The per-vector statements (a) and (b) are evaluated row-wise over all
     n vectors at once, with the same per-vector slack and transport as

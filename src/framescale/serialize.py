@@ -14,7 +14,7 @@ Its output is standard JSON: stdlib ``json`` reads it, and files written
 by stdlib ``json`` read back the same. JSON is written compact, on one
 line with a final newline. Integers must fit in 64 bits; a payload that
 cannot be encoded raises ValueError. Reports are written in schema
-``framescale/2``: the input and perturbed frames, ``scaling.t`` and
+``framescale/3``: the input and perturbed frames, ``scaling.t`` and
 ``scaling.A`` are base64 strings of little-endian, C-order float64, with
 shapes (n, d), (n, d), (n,) and (d, d) taken from the ``d``/``n`` fields
 beside them. The output frame stays a nested float list, which the
@@ -22,13 +22,18 @@ benchmark's tamper check edits as a list, and standalone frame files
 keep nested lists. ``write_report`` encodes the output frame straight
 from its float64 array; orjson prints each element exactly as it prints
 the float, so the bytes equal those of the nested-list form that
-``report_to_dict`` returns. ``read_report`` also loads ``framescale/1``
-reports, where every array is a nested list, and whitespace is part of
-neither schema. A report stores the largest isotropy residual entry,
-not the matrix J; ``reverify`` recomputes it from the frames. A report in
-either schema is malformed when ``scaling.t`` or ``scaling.A`` holds a
-non-finite entry, when ``delta`` or ``delta_solver`` is not positive and
-finite, or when ``d`` or ``n`` disagrees with the input frame. An infinite
+``report_to_dict`` returns. A report holds no perturbation budget: the
+top-level ``gamma_prime_effective`` is eps_norm of the perturbed frame,
+written for human readers, and ``read_report`` ignores it, since the
+report measures it from the frame. ``read_report`` also loads
+``framescale/2`` reports, which are ``/3`` plus a ``budget`` block, and
+``framescale/1`` reports, where in addition every array is a nested list;
+it ignores their ``budget`` blocks. Whitespace is part of no schema. A
+report stores the largest isotropy residual entry, not the matrix J;
+``reverify`` recomputes it from the frames. A report in any schema is
+malformed when ``scaling.t`` or ``scaling.A`` holds a non-finite entry,
+when ``delta`` or ``delta_solver`` is not positive and finite, or when
+``d`` or ``n`` disagrees with the input frame. An infinite
 ``scaling.residual_inf`` or ``scaling.stationarity_gap`` is written as
 ``null`` and reads back as inf.
 """
@@ -44,10 +49,11 @@ import numpy as np
 import orjson
 
 from .frames import Frame, FrameMetrics
-from .repair import AuditRecord, PerturbationBudget, RepairReport
+from .repair import AuditRecord, RepairReport
 from .scaling import ScalingSolution
 
-REPORT_SCHEMA = "framescale/2"
+REPORT_SCHEMA = "framescale/3"
+_SCHEMA_V2 = "framescale/2"
 _SCHEMA_V1 = "framescale/1"
 
 _CSV_HEADER = re.compile(r"#\s*frame\s+d=(\d+)\s+n=(\d+)\s*$")
@@ -95,10 +101,11 @@ def frame_to_dict(frame: Frame) -> dict:
 
 def frame_from_dict(data: dict) -> Frame:
     try:
-        d, n, vectors = int(data["d"]), int(data["n"]), data["vectors"]
-    except (KeyError, TypeError) as exc:
+        d, n = int(data["d"]), int(data["n"])
+        vectors = np.array(data["vectors"], dtype=float)
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed frame object: {exc}") from exc
-    frame = Frame(np.array(vectors, dtype=float))
+    frame = Frame(vectors)
     if frame.d != d or frame.n != n:
         raise ValueError(
             f"frame header (d={d}, n={n}) disagrees with vectors ({frame.d}, {frame.n})"
@@ -148,14 +155,14 @@ def metrics_to_dict(metrics: FrameMetrics) -> dict:
     return {"eps_op": metrics.eps_op, "eps_norm": metrics.eps_norm, "eps": metrics.eps}
 
 
-def scaling_to_dict(solution: ScalingSolution, d: int) -> dict:
+def scaling_to_dict(solution: ScalingSolution) -> dict:
     """The solver's output with ``t`` and ``A`` as flat float lists, as ``solve-rip`` prints it."""
-    return _scaling_to_dict(solution, d, lambda a: a.reshape(-1).tolist())
+    return _scaling_to_dict(solution, lambda a: a.reshape(-1).tolist())
 
 
-def _scaling_to_dict(solution: ScalingSolution, d: int, encode=_pack) -> dict:
+def _scaling_to_dict(solution: ScalingSolution, encode=_pack) -> dict:
     return {
-        "d": d,
+        "d": solution.A.shape[0],
         "t": encode(solution.t),
         "A": encode(solution.A),
         "residual_inf": solution.residual_inf,
@@ -236,15 +243,10 @@ def _report_to_dict(report: RepairReport, audit: AuditRecord | None, encode_outp
             "uw": report.dist_sq_uw,
         },
         "bound": report.bound,
-        "budget": {
-            "eta_max": report.budget.eta_max,
-            "gamma": report.budget.gamma,
-            "gamma_prime": report.budget.gamma_prime,
-            "gamma_prime_effective": report.gamma_prime_effective,
-        },
-        "scaling": _scaling_to_dict(report.scaling, report.d),
+        "scaling": _scaling_to_dict(report.scaling),
         "output_eps": report.output_eps,
         "certified": report.certified,
+        "gamma_prime_effective": report.gamma_prime_effective,
     }
     if audit is not None:
         data["audit"] = audit_to_dict(audit)
@@ -252,7 +254,7 @@ def _report_to_dict(report: RepairReport, audit: AuditRecord | None, encode_outp
 
 
 def report_from_dict(data: dict) -> RepairReport:
-    """Rebuild a report from a ``framescale/2`` or ``framescale/1`` dict.
+    """Rebuild a report from a ``framescale/3``, ``/2`` or ``/1`` dict.
 
     A missing key or a value of the wrong type raises ValueError.
     """
@@ -264,11 +266,10 @@ def report_from_dict(data: dict) -> RepairReport:
 
 def _report_from_dict(data: dict) -> RepairReport:
     schema = data.get("schema")
-    if schema not in (REPORT_SCHEMA, _SCHEMA_V1):
+    if schema not in (REPORT_SCHEMA, _SCHEMA_V2, _SCHEMA_V1):
         raise ValueError(f"unsupported report schema {schema!r}")
-    packed = schema == REPORT_SCHEMA
+    packed = schema != _SCHEMA_V1
     frames = data["frames"]
-    budget = data["budget"]
     seed = data["seed"]
     if not isinstance(seed, int):  # orjson reads an integer beyond 64 bits as a float
         raise ValueError(f"malformed report: seed {seed!r} is not a 64-bit integer")
@@ -294,12 +295,6 @@ def _report_from_dict(data: dict) -> RepairReport:
         dist_sq_vu=float(data["distances"]["vu"]),
         dist_sq_uw=float(data["distances"]["uw"]),
         bound=float(data["bound"]),
-        budget=PerturbationBudget(
-            eta_max=float(budget["eta_max"]),
-            gamma=float(budget["gamma"]),
-            gamma_prime=float(budget["gamma_prime"]),
-        ),
-        gamma_prime_effective=float(budget["gamma_prime_effective"]),
         scaling=_scaling_from_dict(data["scaling"], int(data["n"]), packed),
         delta=float(data["delta"]),
         delta_solver=float(data["delta_solver"]),

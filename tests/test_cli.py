@@ -82,7 +82,7 @@ def set_stored_t0(report_path, value: float) -> None:
 # that disagrees with the input frame.
 @pytest.mark.parametrize(
     "damage",
-    ["no_budget", "not_an_object", "seed_beyond_64_bits", "nan_t",
+    ["not_an_object", "seed_beyond_64_bits", "nan_t",
      "delta=-1", "delta=0", "delta_solver=-1e-10", "d=3", "n=13"],
 )
 def test_malformed_report_is_config_error(tmp_path, capsys, damage):
@@ -93,8 +93,6 @@ def test_malformed_report_is_config_error(tmp_path, capsys, damage):
     if "=" in damage:
         field, value = damage.split("=")
         data[field] = json.loads(value)
-    elif damage == "no_budget":
-        del data["budget"]
     elif damage == "seed_beyond_64_bits":
         data["seed"] = 2**64 + 1
     elif damage == "not_an_object":
@@ -108,19 +106,22 @@ def test_malformed_report_is_config_error(tmp_path, capsys, damage):
     assert error["message"].startswith("malformed report:")
 
 
-@pytest.mark.parametrize("eta_max", [None, 1e-3, 1e300])
-def test_audit_derives_the_budget_from_the_input(tmp_path, capsys, eta_max):
-    # Output vectors rotated by 1e-3 rad fail check (e) whatever budget the
-    # file claims: a larger stored eta_max neither widens gamma' nor overflows.
+@pytest.mark.parametrize("stored", [None, 1e-3, 1e300])
+def test_audit_derives_the_budget_from_the_input(tmp_path, capsys, stored):
+    # Output vectors rotated by 1e-3 rad fail check (e) whatever gamma' the
+    # file claims, at the top level or in a leftover budget block: gamma' is
+    # measured from the perturbed frame, and a huge stored value overflows nothing.
     report_path = repaired_report(tmp_path, "json")
     data = json.loads(report_path.read_text())
-    stored_eta = data["budget"]["eta_max"]
+    measured = data["gamma_prime_effective"]
     vectors = np.array(data["frames"]["output"]["vectors"])
     cos, sin = np.cos(1e-3), np.sin(1e-3)
     vectors[:, :2] = vectors[:, :2] @ np.array([[cos, sin], [-sin, cos]])
     data["frames"]["output"]["vectors"] = vectors.tolist()
-    if eta_max is not None:
-        data["budget"]["eta_max"] = eta_max
+    if stored is not None:
+        data["gamma_prime_effective"] = stored
+        keys = ("eta_max", "gamma", "gamma_prime", "gamma_prime_effective")
+        data["budget"] = dict.fromkeys(keys, stored)
     report_path.write_text(json.dumps(data))
     capsys.readouterr()
     audit_path = tmp_path / "audit.json"
@@ -128,7 +129,8 @@ def test_audit_derives_the_budget_from_the_input(tmp_path, capsys, eta_max):
     assert code == EXIT_CERTIFICATION
     assert stderr_error(capsys)["type"] == "certification"
     payload = json.loads(audit_path.read_text())
-    assert payload["budget"]["eta_max"] == stored_eta
+    assert payload["gamma_prime_effective"] == measured
+    assert "budget" not in payload
     failed = [check["name"] for check in payload["audit"]["checks"] if not check["passed"]]
     assert "norm_rescaling_distance" in failed
 
@@ -221,6 +223,19 @@ def test_bad_delta_is_config_error(tmp_path, capsys, delta):
     assert error["type"] == "config"
     assert "--delta" in error["message"]
     assert not report_path.exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "polytope", "solve-rip", "repair"])
+def test_malformed_frame_file_is_config_error(tmp_path, capsys, command):
+    path = tmp_path / "frame.json"
+    path.write_text(json.dumps({"d": 2, "n": 3, "vectors": [[1, 0], [0, 1], [{"a": 1}, 1]]}))
+    args = [command, "--input", str(path)]
+    if command == "repair":
+        args += ["--output", str(tmp_path / "report.json"), "--seed", "0"]
+    assert main(args) == EXIT_CONFIG
+    error = stderr_error(capsys)
+    assert error["type"] == "config"
+    assert error["message"].startswith("malformed frame object: ")
 
 
 def test_missing_input_is_config_error(tmp_path, capsys):

@@ -27,7 +27,6 @@ PUBLIC_API = [
     "ENPF_TOL",
     "Frame",
     "FrameMetrics",
-    "PerturbationBudget",
     "RepairReport",
     "ScalingConvergenceError",
     "ScalingSolution",

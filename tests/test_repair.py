@@ -10,7 +10,6 @@ import pytest
 import framescale
 from framescale import (
     Frame,
-    PerturbationBudget,
     ScalingConvergenceError,
     audit_lemma_chain,
     dist_sq,
@@ -23,6 +22,7 @@ from framescale import (
     repair,
     reverify,
 )
+from framescale.repair import _eta_max
 from framescale.serialize import read_report, write_report
 
 from helpers import alternating_projections, audit_per_vector_oracle, mercedes_frame
@@ -49,53 +49,24 @@ def test_public_api_exports_pipeline():
         assert getattr(framescale, name) is getattr(module, name)
 
 
-class TestPerturbationBudget:
-    def test_defining_formulas(self):
-        budget = PerturbationBudget.from_eta_max(1e-4, 3, 9)
-        assert budget.gamma == pytest.approx(1e-8 + 2e-4)
-        assert budget.gamma_prime == pytest.approx(3.0 * budget.gamma)
-
-    def test_input_budget_respects_every_cap(self):
-        cases = [
-            (eps, d, n)
-            for eps in (1e-1, 1e-2, 1e-3, 1e-6)
-            for d, n in ((2, 5), (4, 10), (8, 32))
-        ]
-        # At eps = 1e-7 the root sqrt(1 + gamma_max) - 1 cancels to 1.066 gamma_max;
-        # at 1e-10 and 1e-12, 1 - sqrt(1 - eps) cancels to 8.3e-8 and 8.9e-5 high.
-        cases += [(1e-7, 4, 12), (1e-10, 4, 12), (1e-12, 4, 12)]
-        for eps, d, n in cases:
-            budget = PerturbationBudget.for_input(eps, d, n)
-            gamma_max = eps / (1 + math.sqrt(1 - eps)) * eps * d / n
-            assert budget.eta_max <= eps / (2 * n)
-            assert budget.gamma <= gamma_max * (1 + 1e-12)
-            assert budget.gamma_prime <= eps
-
-    def test_negative_eta_rejected(self):
-        with pytest.raises(ValueError):
-            PerturbationBudget.from_eta_max(-1.0, 2, 4)
-
-
 class TestPerturbToGeneralPosition:
     def test_generic_input_accepted_unchanged(self):
         frame = renormalize(mercedes_frame(), 2 / 3)
-        budget = PerturbationBudget.for_input(0.01, 2, 3)
-        out = perturb_to_general_position(frame, budget, seed=0)
+        out = perturb_to_general_position(frame, _eta_max(0.01, 2, 3), seed=0)
         assert np.array_equal(out.vectors, frame.vectors)
 
     def test_degenerate_input_perturbed(self):
         base = renormalize(Frame(np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])), 2 / 3)
-        budget = PerturbationBudget.from_eta_max(1e-6, 2, 3)
-        out = perturb_to_general_position(base, budget, seed=1)
+        out = perturb_to_general_position(base, 1e-6, seed=1)
         from framescale import all_d_subsets_independent
 
         assert all_d_subsets_independent(out)
-        assert dist_sq(base, out) <= 3 * budget.eta_max**2 + 1e-18
+        assert dist_sq(base, out) <= 3 * 1e-6**2 + 1e-18
 
     def test_zero_budget_on_degenerate_fails(self):
         base = renormalize(Frame(np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])), 2 / 3)
         with pytest.raises(RuntimeError):
-            perturb_to_general_position(base, PerturbationBudget.from_eta_max(0.0, 2, 3), seed=0)
+            perturb_to_general_position(base, 0.0, seed=0)
 
     def test_past_cap_returned_unchecked(self, monkeypatch):
         def unaffordable(frame):
@@ -104,7 +75,7 @@ class TestPerturbToGeneralPosition:
         monkeypatch.setattr(importlib.import_module("framescale.repair"),
                             "all_d_subsets_independent", unaffordable)
         frame = renormalize(duplicated_instance(10, 40, 2, seed=0), 10 / 40)
-        out = perturb_to_general_position(frame, PerturbationBudget.from_eta_max(0.0, 10, 40), 0)
+        out = perturb_to_general_position(frame, 0.0, 0)
         assert out is frame
 
     @pytest.mark.parametrize("degenerate", [True, False])
@@ -112,21 +83,26 @@ class TestPerturbToGeneralPosition:
         rows = [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]] if degenerate else mercedes_frame().vectors
         frame = renormalize(Frame(np.array(rows)), 2 / 3)
         with pytest.raises(ValueError, match="^seed must be nonnegative, got -1$"):
-            perturb_to_general_position(frame, PerturbationBudget.from_eta_max(1e-6, 2, 3), -1)
+            perturb_to_general_position(frame, 1e-6, -1)
+
+    def test_negative_eta_rejected(self):
+        frame = renormalize(mercedes_frame(), 2 / 3)
+        for eta_max in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="^eta_max must be nonnegative"):
+                perturb_to_general_position(frame, eta_max, 0)
 
     def test_distance_within_budget(self):
         rng = np.random.default_rng(2)
         frame = renormalize(Frame(rng.standard_normal((8, 3))), 3 / 8)
-        budget = PerturbationBudget.from_eta_max(1e-7, 3, 8)
-        out = perturb_to_general_position(frame, budget, seed=3)
-        assert dist_sq(frame, out) <= 8 * budget.eta_max**2 + 1e-18
+        out = perturb_to_general_position(frame, 1e-7, seed=3)
+        assert dist_sq(frame, out) <= 8 * 1e-7**2 + 1e-18
 
 
 class TestRepair:
     def test_exact_input_returns_nearby_frame(self):
         report = repair(mercedes_frame(), 1e-9, seed=0)
         assert report.certified
-        assert report.dist_sq_vw <= 4 * 3 * report.budget.eta_max**2 + 1e-20
+        assert report.dist_sq_vw <= 4 * 3 * _eta_max(report.eps, 2, 3) ** 2 + 1e-20
         assert report.output_eps <= 1e-9
 
     def test_mercedes_at_eps_005(self):
@@ -355,7 +331,7 @@ class TestReverify:
         assert fresh.eps == pytest.approx(report.eps)
         assert fresh.dist_sq_vw == pytest.approx(report.dist_sq_vw)
         assert fresh.scaling.converged
-        # Frames, scalars, budget and the solver's own numbers are bit-equal.
+        # Frames, scalars and the solver's own numbers are bit-equal.
         for f in dataclasses.fields(report):
             value, again = getattr(report, f.name), getattr(fresh, f.name)
             if isinstance(value, Frame):

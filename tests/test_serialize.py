@@ -21,6 +21,9 @@ from framescale.serialize import (
 # A framescale/1 report of the module fixture's repair, written before
 # framescale/2 existed; every array in it is a nested float list.
 REPORT_V1 = Path(__file__).parent / "data" / "report_v1.json"
+# The same repair in framescale/2, written by the last code that wrote that
+# schema: packed arrays and a perturbation budget block.
+REPORT_V2 = Path(__file__).parent / "data" / "report_v2.json"
 
 PACKED_FIELDS = ("frames.input.vectors", "frames.perturbed.vectors", "scaling.t", "scaling.A")
 
@@ -117,13 +120,13 @@ def test_report_round_trip_is_bit_exact(tmp_path, repaired):
         assert_bit_equal(getattr(loaded, name).vectors, getattr(report, name).vectors)
     for name in ("t", "A"):
         assert_bit_equal(getattr(loaded.scaling, name), getattr(report.scaling, name))
-    pairs = ((report, loaded), (report.scaling, loaded.scaling), (report.budget, loaded.budget))
-    for obj, stored in pairs:
+    for obj, stored in ((report, loaded), (report.scaling, loaded.scaling)):
         for f in dataclasses.fields(obj):
             value = getattr(obj, f.name)
             if isinstance(value, (bool, int, float)):
                 assert type(getattr(stored, f.name)) is type(value), f.name
                 assert_bit_equal(getattr(stored, f.name), value)
+    assert_bit_equal(loaded.gamma_prime_effective, report.gamma_prime_effective)
 
 
 def test_indented_report_reads_back_identical(tmp_path, repaired):
@@ -148,7 +151,9 @@ def test_report_file_is_one_line(tmp_path, repaired):
     assert text.endswith("\n")
     assert "\n" not in text[:-1]
     data = json.loads(text)
-    assert data["schema"] == "framescale/2"
+    assert data["schema"] == "framescale/3"
+    assert "budget" not in data
+    assert data["gamma_prime_effective"] == report.gamma_prime_effective
     for field in PACKED_FIELDS:
         parent, key = parent_and_key(data, field)
         assert isinstance(parent[key], str)
@@ -180,6 +185,46 @@ def test_v1_report_still_loads(tmp_path, repaired):
         np.testing.assert_allclose(
             getattr(report.scaling, name), getattr(loaded.scaling, name), rtol=0, atol=1e-12
         )
+
+
+def test_v2_report_still_loads(repaired):
+    # Today's repair of the same input is bit-identical to the stored one,
+    # so the /2 report re-emits as today's /3 report, budget block dropped.
+    report, audit = repaired
+    raw = json.loads(REPORT_V2.read_text())
+    assert raw["schema"] == "framescale/2" and "budget" in raw
+    loaded = read_report(REPORT_V2)
+    assert report_to_dict(loaded) == report_to_dict(report)
+    fresh = reverify(loaded)
+    assert fresh.certified and loaded.certified
+    assert audit_lemma_chain(fresh).passed
+    assert audit_lemma_chain(loaded) == audit
+
+
+@pytest.mark.parametrize("source", ["framescale/3", "framescale/2"])
+def test_audit_measures_gamma_prime_of_a_stored_report(tmp_path, repaired, source):
+    # Output vectors rotated by 1e-3 rad in a coordinate plane move W off Wt
+    # by 2e-6 in squared distance. A stored gamma' of 1e-3 would cover that,
+    # but the audit of the loaded report measures gamma' from its perturbed
+    # frame and fails check (e).
+    report, audit = repaired
+    if source == "framescale/3":
+        data = report_to_dict(report, audit)
+        data["gamma_prime_effective"] = 1e-3
+    else:
+        data = json.loads(REPORT_V2.read_text())
+        data["budget"]["gamma_prime_effective"] = 1e-3
+    vectors = np.array(data["frames"]["output"]["vectors"])
+    cos, sin = np.cos(1e-3), np.sin(1e-3)
+    vectors[:, :2] = vectors[:, :2] @ np.array([[cos, sin], [-sin, cos]])
+    data["frames"]["output"]["vectors"] = vectors.tolist()
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(data))
+    loaded = read_report(path)
+    rescaling = audit_lemma_chain(loaded).check("norm_rescaling_distance")
+    assert not rescaling.passed
+    assert rescaling.rhs == 2.0 * report.gamma_prime_effective
+    assert loaded.gamma_prime_effective == report.gamma_prime_effective
 
 
 @pytest.mark.parametrize("field", PACKED_FIELDS)
