@@ -47,7 +47,7 @@ class Frame:
             raise ValueError(f"vectors must be 2-d (n, d), got shape {arr.shape}")
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError("need n >= 1 vectors of dimension d >= 1")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("frame vectors must have finite entries")
         arr.setflags(write=False)
         object.__setattr__(self, "vectors", arr)
@@ -192,4 +192,12 @@ def renormalize(frame: Frame, target_sq_norm: float) -> Frame:
     bad = np.flatnonzero((norms2 == 0.0) | (norms2 == np.inf))
     if bad.size:
         raise ValueError(f"cannot renormalize vector {bad[0]}: squared norm {norms2[bad[0]]}")
-    return Frame(frame.vectors * np.sqrt(target_sq_norm / norms2)[:, None])
+    return Frame(_rows_scaled(frame.vectors, norms2, target_sq_norm))
+
+
+def _rows_scaled(X: np.ndarray, norms2: np.ndarray, target_sq_norm: float) -> np.ndarray:
+    """X with row i scaled from squared norm ``norms2[i]`` to ``target_sq_norm``.
+
+    The arithmetic of ``renormalize``, without its checks.
+    """
+    return X * np.sqrt(target_sq_norm / norms2)[:, None]

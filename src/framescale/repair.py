@@ -289,7 +289,11 @@ def audit_lemma_chain(report: RepairReport) -> AuditRecord:
 
     gamma' = eps_norm(U) is measured from the report's perturbed frame,
     never read from a stored value, so the audit of a report loaded from
-    disk uses the gamma' of its own U.
+    disk uses the gamma' of its own U. The eps of (d) and (f), the bound
+    and the three distances of (f) are taken from the report as they
+    stand, so a report loaded from disk must go through ``reverify``
+    first, as ``framescale audit`` does. On its own, this audit passes a
+    report that stores U and whose input vectors were negated on disk.
 
     The per-vector statements (a) and (b) are evaluated row-wise over all
     n vectors at once, with the same per-vector slack and transport as

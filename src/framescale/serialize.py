@@ -13,27 +13,35 @@ microsecond per float where the stdlib codec takes about a microsecond.
 Its output is standard JSON: stdlib ``json`` reads it, and files written
 by stdlib ``json`` read back the same. JSON is written compact, on one
 line with a final newline. Integers must fit in 64 bits; a payload that
-cannot be encoded raises ValueError. Reports are written in schema
-``framescale/3``: the input and perturbed frames, ``scaling.t`` and
-``scaling.A`` are base64 strings of little-endian, C-order float64, with
-shapes (n, d), (n, d), (n,) and (d, d) taken from the ``d``/``n`` fields
-beside them. The output frame stays a nested float list, which the
-benchmark's tamper check edits as a list, and standalone frame files
-keep nested lists. ``write_report`` encodes the output frame straight
-from its float64 array; orjson prints each element exactly as it prints
-the float, so the bytes equal those of the nested-list form that
-``report_to_dict`` returns. A report holds no perturbation budget: the
-top-level ``gamma_prime_effective`` is eps_norm of the perturbed frame,
-written for human readers, and ``read_report`` ignores it, since the
-report measures it from the frame. ``read_report`` also loads
-``framescale/2`` reports, which are ``/3`` plus a ``budget`` block, and
-``framescale/1`` reports, where in addition every array is a nested list;
-it ignores their ``budget`` blocks. Whitespace is part of no schema. A
-report stores the largest isotropy residual entry, not the matrix J;
-``reverify`` recomputes it from the frames. A report in any schema is
-malformed when ``scaling.t`` or ``scaling.A`` holds a non-finite entry,
-when ``delta`` or ``delta_solver`` is not positive and finite, or when
-``d`` or ``n`` disagrees with the input frame. An infinite
+cannot be encoded raises ValueError.
+
+Reports are written in schema ``framescale/4``. The input frame,
+``scaling.t`` and ``scaling.A`` are packed: lowercase hex of their
+little-endian, C-order float64 bytes, shaped (n, d), (n,) and (d, d) by
+the ``d``/``n`` fields beside them; CPython decodes hex about five times
+faster than base64. The perturbed frame U is stored, packed, only when it
+is not bit-equal to ``renormalize(V, d/n)``, i.e. when the
+general-position gate moved it; otherwise ``read_report`` rebuilds it
+with that call, bit-equal wherever numpy rounds the row norms as the
+writer's did. The output frame stays a nested float list, which the
+benchmark's tamper check edits as a list; ``write_report`` encodes it
+straight from its array, and orjson prints each element as it prints the
+float, so the bytes equal those of ``report_to_dict``'s nested list. The
+top-level ``gamma_prime_effective`` is eps_norm(U), written for human
+readers; ``read_report`` ignores it.
+
+``read_report`` also loads ``framescale/3`` (base64 in place of hex, U
+always stored), ``framescale/2`` (``/3`` plus a ``budget`` block, which
+is ignored) and ``framescale/1`` (every array a nested list). Whitespace
+between tokens is part of no schema; inside a packed field it is damage.
+A report stores the largest isotropy residual entry, not J; ``reverify``
+recomputes it.
+A report is malformed, and ``read_report`` raises a ValueError starting
+``malformed report:``, when a packed field does not decode to its shape,
+``scaling.t`` or ``scaling.A`` is not finite, ``delta`` or
+``delta_solver`` is not positive and finite, ``certified`` or
+``scaling.converged`` is not a JSON boolean, or a stored frame disagrees
+with the top-level ``d`` and ``n``. An infinite
 ``scaling.residual_inf`` or ``scaling.stationarity_gap`` is written as
 ``null`` and reads back as inf.
 """
@@ -41,6 +49,7 @@ when ``delta`` or ``delta_solver`` is not positive and finite, or when
 from __future__ import annotations
 
 import base64
+import binascii
 import math
 import re
 from pathlib import Path
@@ -48,11 +57,12 @@ from pathlib import Path
 import numpy as np
 import orjson
 
-from .frames import Frame, FrameMetrics
+from .frames import Frame, FrameMetrics, _row_sq_norms, _rows_scaled, renormalize
 from .repair import AuditRecord, RepairReport
 from .scaling import ScalingSolution
 
-REPORT_SCHEMA = "framescale/3"
+REPORT_SCHEMA = "framescale/4"
+_SCHEMA_V3 = "framescale/3"
 _SCHEMA_V2 = "framescale/2"
 _SCHEMA_V1 = "framescale/1"
 
@@ -77,16 +87,23 @@ def _load_json(path: str | Path):
 
 
 def _pack(array: np.ndarray) -> str:
-    """Base64 of the array's little-endian, C-order float64 bytes."""
-    return base64.b64encode(np.ascontiguousarray(array, dtype="<f8").tobytes()).decode("ascii")
+    """Lowercase hex of the array's little-endian, C-order float64 bytes."""
+    return np.ascontiguousarray(array, dtype="<f8").tobytes().hex()
 
 
-def _unpack(text: str, shape: tuple[int, ...], field: str) -> np.ndarray:
-    """Inverse of ``_pack``: a float64 array of ``shape``, or ValueError naming ``field``."""
+def _unpack(text: str, shape: tuple[int, ...], field: str, schema: str) -> np.ndarray:
+    """A packed float64 array of ``shape``, or ValueError naming ``field``.
+
+    ``framescale/4`` packs in hex, as ``_pack`` does; ``/2`` and ``/3`` in base64.
+    """
+    codec = "hex" if schema == REPORT_SCHEMA else "base64"
     try:
-        raw = base64.b64decode(text, validate=True)
+        if codec == "hex":
+            raw = binascii.unhexlify(text)
+        else:
+            raw = base64.b64decode(text, validate=True)
     except (ValueError, TypeError) as exc:  # binascii.Error is a ValueError
-        raise ValueError(f"malformed report: {field} is not base64: {exc}") from exc
+        raise ValueError(f"malformed report: {field} is not {codec}: {exc}") from exc
     expected = 8 * math.prod(shape)
     if len(raw) != expected:
         raise ValueError(
@@ -117,9 +134,9 @@ def _packed_frame_to_dict(frame: Frame) -> dict:
     return {"d": frame.d, "n": frame.n, "vectors": _pack(frame.vectors)}
 
 
-def _packed_frame_from_dict(data: dict, field: str) -> Frame:
+def _packed_frame_from_dict(data: dict, field: str, schema: str) -> Frame:
     d, n = int(data["d"]), int(data["n"])
-    return Frame(_unpack(data["vectors"], (n, d), field))
+    return Frame(_unpack(data["vectors"], (n, d), field, schema))
 
 
 def write_frame(path: str | Path, frame: Frame) -> None:
@@ -177,11 +194,19 @@ def _float_or_inf(value) -> float:
     return math.inf if value is None else float(value)
 
 
-def _scaling_from_dict(data: dict, n: int, packed: bool) -> ScalingSolution:
+def _flag(data: dict, key: str, field: str) -> bool:
+    """A stored JSON boolean; anything else, such as the string "no", is malformed."""
+    value = data[key]
+    if not isinstance(value, bool):
+        raise ValueError(f"malformed report: {field} {value!r} is not a boolean")
+    return value
+
+
+def _scaling_from_dict(data: dict, n: int, schema: str) -> ScalingSolution:
     d = int(data["d"])
-    if packed:
-        t = _unpack(data["t"], (n,), "scaling.t")
-        A = _unpack(data["A"], (d, d), "scaling.A")
+    if schema != _SCHEMA_V1:
+        t = _unpack(data["t"], (n,), "scaling.t", schema)
+        A = _unpack(data["A"], (d, d), "scaling.A", schema)
     else:
         t = np.array(data["t"], dtype=float)
         A = np.array(data["A"], dtype=float).reshape(d, d)
@@ -193,7 +218,7 @@ def _scaling_from_dict(data: dict, n: int, packed: bool) -> ScalingSolution:
         A=A,
         residual_inf=_float_or_inf(data["residual_inf"]),
         iterations=int(data["iterations"]),
-        converged=bool(data["converged"]),
+        converged=_flag(data, "converged", "scaling.converged"),
         stationarity_gap=_float_or_inf(data.get("stationarity_gap", 0.0)),
     )
 
@@ -220,8 +245,25 @@ def report_to_dict(report: RepairReport, audit: AuditRecord | None = None) -> di
     return _report_to_dict(report, audit, np.ndarray.tolist)
 
 
+def _gate_moved(report: RepairReport) -> bool:
+    """Whether U differs in any bit from the renormalize(V, d/n) that ``read_report`` rebuilds.
+
+    renormalize's arithmetic, without the checks and the Frame that would add
+    half again to a small ``report_to_dict``. A zero input vector gives a NaN
+    row, which no U equals.
+    """
+    V, U = report.input_frame.vectors, report.perturbed_frame.vectors
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rebuilt = _rows_scaled(V, _row_sq_norms(V), report.d / report.n)
+    return U.shape != rebuilt.shape or U.tobytes() != rebuilt.tobytes()
+
+
 def _report_to_dict(report: RepairReport, audit: AuditRecord | None, encode_output) -> dict:
     output = report.output_frame
+    frames = {"input": _packed_frame_to_dict(report.input_frame)}
+    if _gate_moved(report):
+        frames["perturbed"] = _packed_frame_to_dict(report.perturbed_frame)
+    frames["output"] = {"d": output.d, "n": output.n, "vectors": encode_output(output.vectors)}
     data = {
         "schema": REPORT_SCHEMA,
         "d": report.d,
@@ -232,11 +274,7 @@ def _report_to_dict(report: RepairReport, audit: AuditRecord | None, encode_outp
         "eps": report.eps,
         "eps_op": report.eps_op,
         "eps_norm": report.eps_norm,
-        "frames": {
-            "input": _packed_frame_to_dict(report.input_frame),
-            "perturbed": _packed_frame_to_dict(report.perturbed_frame),
-            "output": {"d": output.d, "n": output.n, "vectors": encode_output(output.vectors)},
-        },
+        "frames": frames,
         "distances": {
             "vw": report.dist_sq_vw,
             "vu": report.dist_sq_vu,
@@ -254,7 +292,7 @@ def _report_to_dict(report: RepairReport, audit: AuditRecord | None, encode_outp
 
 
 def report_from_dict(data: dict) -> RepairReport:
-    """Rebuild a report from a ``framescale/3``, ``/2`` or ``/1`` dict.
+    """Rebuild a report from a ``framescale/4``, ``/3``, ``/2`` or ``/1`` dict.
 
     A missing key or a value of the wrong type raises ValueError.
     """
@@ -264,30 +302,44 @@ def report_from_dict(data: dict) -> RepairReport:
         raise ValueError(f"malformed report: {type(exc).__name__}: {exc}") from exc
 
 
+def _frame_from_report(frames: dict, name: str, schema: str) -> Frame:
+    if name == "output" or schema == _SCHEMA_V1:
+        return frame_from_dict(frames[name])
+    return _packed_frame_from_dict(frames[name], f"frames.{name}.vectors", schema)
+
+
 def _report_from_dict(data: dict) -> RepairReport:
     schema = data.get("schema")
-    if schema not in (REPORT_SCHEMA, _SCHEMA_V2, _SCHEMA_V1):
+    if schema not in (REPORT_SCHEMA, _SCHEMA_V3, _SCHEMA_V2, _SCHEMA_V1):
         raise ValueError(f"unsupported report schema {schema!r}")
-    packed = schema != _SCHEMA_V1
     frames = data["frames"]
     seed = data["seed"]
     if not isinstance(seed, int):  # orjson reads an integer beyond 64 bits as a float
         raise ValueError(f"malformed report: seed {seed!r} is not a 64-bit integer")
-    if packed:
-        input_frame = _packed_frame_from_dict(frames["input"], "frames.input.vectors")
-        perturbed_frame = _packed_frame_from_dict(frames["perturbed"], "frames.perturbed.vectors")
-    else:
-        input_frame = frame_from_dict(frames["input"])
-        perturbed_frame = frame_from_dict(frames["perturbed"])
     for name in ("delta", "delta_solver"):
         if not 0.0 < float(data[name]) < math.inf:
             raise ValueError(f"malformed report: {name} {data[name]!r} is not positive and finite")
-    if (data["d"], data["n"]) != (input_frame.d, input_frame.n):
+    input_frame = _frame_from_report(frames, "input", schema)
+    d, n = input_frame.d, input_frame.n
+    if (data["d"], data["n"]) != (d, n):
         raise ValueError(f"malformed report: d={data['d']}, n={data['n']} disagree with the input")
+    if schema == REPORT_SCHEMA and "perturbed" not in frames:
+        try:
+            perturbed_frame = renormalize(input_frame, d / n)
+        except ValueError as exc:
+            raise ValueError(f"malformed report: frames.input: {exc}") from exc
+    else:
+        perturbed_frame = _frame_from_report(frames, "perturbed", schema)
+    output_frame = _frame_from_report(frames, "output", schema)
+    for name, frame in (("perturbed", perturbed_frame), ("output", output_frame)):
+        if (frame.d, frame.n) != (d, n):
+            raise ValueError(
+                f"malformed report: frames.{name} has d={frame.d}, n={frame.n}, not d={d}, n={n}"
+            )
     return RepairReport(
         input_frame=input_frame,
         perturbed_frame=perturbed_frame,
-        output_frame=frame_from_dict(frames["output"]),
+        output_frame=output_frame,
         eps=float(data["eps"]),
         eps_op=float(data["eps_op"]),
         eps_norm=float(data["eps_norm"]),
@@ -295,12 +347,12 @@ def _report_from_dict(data: dict) -> RepairReport:
         dist_sq_vu=float(data["distances"]["vu"]),
         dist_sq_uw=float(data["distances"]["uw"]),
         bound=float(data["bound"]),
-        scaling=_scaling_from_dict(data["scaling"], int(data["n"]), packed),
+        scaling=_scaling_from_dict(data["scaling"], n, schema),
         delta=float(data["delta"]),
         delta_solver=float(data["delta_solver"]),
         seed=seed,
         output_eps=float(data["output_eps"]),
-        certified=bool(data["certified"]),
+        certified=_flag(data, "certified", "certified"),
     )
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import base64
 from itertools import combinations
 
 import numpy as np
@@ -10,6 +11,22 @@ from framescale import Frame, frame_metrics, majorizes, scaling_potential, trans
 from framescale.majorization import MAJORIZATION_TOL
 from framescale.polytope import RANK_RTOL, numerical_rank
 from framescale.repair import _AUDIT_ATOL
+
+
+def read_packed(text: str, schema: str = "framescale/4") -> np.ndarray:
+    """The float64 values of a packed report field, as a writable flat array.
+
+    A packed field holds little-endian float64 bytes in C order: as hex in
+    ``framescale/4``, as base64 in ``/2`` and ``/3``.
+    """
+    raw = bytes.fromhex(text) if schema == "framescale/4" else base64.b64decode(text)
+    return np.frombuffer(raw, dtype="<f8").copy()
+
+
+def write_packed(values, schema: str = "framescale/4") -> str:
+    """Inverse of ``read_packed``: ``values`` as the text of a packed field."""
+    raw = np.ascontiguousarray(values, dtype="<f8").tobytes()
+    return raw.hex() if schema == "framescale/4" else base64.b64encode(raw).decode("ascii")
 
 
 def cofactor_det(M: np.ndarray) -> float:

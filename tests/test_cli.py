@@ -1,4 +1,3 @@
-import base64
 import csv
 import json
 import warnings
@@ -15,6 +14,7 @@ from framescale.cli import (
     main,
 )
 from framescale.serialize import read_frame, read_report
+from helpers import read_packed, write_packed
 
 
 def stderr_error(capsys) -> dict:
@@ -72,24 +72,28 @@ def test_audit_rejects_tampered_output(tmp_path, capsys):
 def set_stored_t0(report_path, value: float) -> None:
     """Overwrite t_0 in the packed ``scaling.t`` of a stored report."""
     data = json.loads(report_path.read_text())
-    t = np.frombuffer(base64.b64decode(data["scaling"]["t"]), dtype="<f8").copy()
+    t = read_packed(data["scaling"]["t"])
     t[0] = value
-    data["scaling"]["t"] = base64.b64encode(t.tobytes()).decode("ascii")
+    data["scaling"]["t"] = write_packed(t)
     report_path.write_text(json.dumps(data))
 
 
-# "field=value" stores a run parameter that repair refuses, or a d or n
-# that disagrees with the input frame.
+# "field=value" stores a run parameter that repair refuses, a d or n that
+# disagrees with the input frame, or a verdict that is not a JSON boolean.
+# A stored frame one vector short keeps its own header consistent.
 @pytest.mark.parametrize(
     "damage",
     ["not_an_object", "seed_beyond_64_bits", "nan_t",
-     "delta=-1", "delta=0", "delta_solver=-1e-10", "d=3", "n=13"],
+     "delta=-1", "delta=0", "delta_solver=-1e-10", "d=3", "n=13",
+     'certified="no"', "certified=1", "converged_not_bool",
+     "output_short", "perturbed_short", "perturbed_wide"],
 )
 def test_malformed_report_is_config_error(tmp_path, capsys, damage):
     report_path = repaired_report(tmp_path, "json")
     if damage == "nan_t":
         set_stored_t0(report_path, np.nan)
     data = json.loads(report_path.read_text())
+    frames = data["frames"]
     if "=" in damage:
         field, value = damage.split("=")
         data[field] = json.loads(value)
@@ -97,6 +101,15 @@ def test_malformed_report_is_config_error(tmp_path, capsys, damage):
         data["seed"] = 2**64 + 1
     elif damage == "not_an_object":
         data = []
+    elif damage == "converged_not_bool":
+        data["scaling"]["converged"] = "true"
+    elif damage == "output_short":
+        frames["output"]["vectors"].pop()
+        frames["output"]["n"] -= 1
+    elif damage.startswith("perturbed_"):
+        V = read_packed(frames["input"]["vectors"]).reshape(data["n"], data["d"])
+        U = V[:-1] if damage == "perturbed_short" else np.hstack([V, V[:, :1]])
+        frames["perturbed"] = {"d": U.shape[1], "n": U.shape[0], "vectors": write_packed(U)}
     report_path.write_text(json.dumps(data))
     capsys.readouterr()
     code = main(["audit", "--input", str(report_path), "--output", str(tmp_path / "a.json")])
@@ -104,6 +117,20 @@ def test_malformed_report_is_config_error(tmp_path, capsys, damage):
     error = stderr_error(capsys)
     assert error["type"] == "config"
     assert error["message"].startswith("malformed report:")
+
+
+def test_audit_rejects_negated_input(tmp_path, capsys):
+    # With U rebuilt from the negated input and W kept, dist^2(V, W) is about 4d,
+    # far past the bound 20 eps d^2 that eps(-V) = eps(V) gives.
+    report_path = repaired_report(tmp_path, "json")
+    data = json.loads(report_path.read_text())
+    packed = data["frames"]["input"]
+    packed["vectors"] = write_packed(-read_packed(packed["vectors"]))
+    report_path.write_text(json.dumps(data))
+    capsys.readouterr()
+    code = main(["audit", "--input", str(report_path), "--output", str(tmp_path / "a.json")])
+    assert code == EXIT_CERTIFICATION
+    assert stderr_error(capsys)["type"] == "certification"
 
 
 @pytest.mark.parametrize("stored", [None, 1e-3, 1e300])
@@ -166,9 +193,9 @@ def test_singular_stored_A_fails_certification(tmp_path, capsys):
     assert main(["repair", "--input", str(frame_path), "--output", str(report_path),
                  "--seed", "0"]) == EXIT_OK
     data = json.loads(report_path.read_text())
-    A = np.frombuffer(base64.b64decode(data["scaling"]["A"]), dtype="<f8").reshape(3, 3).copy()
+    A = read_packed(data["scaling"]["A"]).reshape(3, 3)
     A[-1] = 0.0
-    data["scaling"]["A"] = base64.b64encode(A.tobytes()).decode("ascii")
+    data["scaling"]["A"] = write_packed(A)
     report_path.write_text(json.dumps(data))
     capsys.readouterr()
     audit_path = tmp_path / "audit.json"

@@ -1,4 +1,3 @@
-import base64
 import dataclasses
 import importlib
 import json
@@ -25,7 +24,13 @@ from framescale import (
 from framescale.repair import _eta_max
 from framescale.serialize import read_report, write_report
 
-from helpers import alternating_projections, audit_per_vector_oracle, mercedes_frame
+from helpers import (
+    alternating_projections,
+    audit_per_vector_oracle,
+    mercedes_frame,
+    read_packed,
+    write_packed,
+)
 
 
 def perturbed_instance(d, n, eps_target, seed):
@@ -398,15 +403,17 @@ class TestReverify:
         assert not reverify(read_report(path)).certified
 
     def test_tampered_packed_frame_detected(self, tmp_path):
+        # The gate left U = renormalize(V, d/n), so the report leaves U out;
+        # a stored perturbed block takes precedence over the rebuilt U.
         report = repair(perturbed_instance(3, 9, 1e-2, seed=13), 1e-9, seed=13)
         path = tmp_path / "report.json"
         write_report(path, report)
         data = json.loads(path.read_text())
-        perturbed = data["frames"]["perturbed"]
-        raw = base64.b64decode(perturbed["vectors"])
-        vectors = np.frombuffer(raw, dtype="<f8").reshape(perturbed["n"], perturbed["d"]).copy()
+        assert "perturbed" not in data["frames"]
+        vectors = read_packed(data["frames"]["input"]["vectors"]).reshape(9, 3)
+        vectors = renormalize(Frame(vectors), 3 / 9).vectors.copy()
         vectors[0] *= 1.5
-        perturbed["vectors"] = base64.b64encode(vectors.astype("<f8").tobytes()).decode("ascii")
+        data["frames"]["perturbed"] = {"d": 3, "n": 9, "vectors": write_packed(vectors)}
         path.write_text(json.dumps(data))
         loaded = read_report(path)
         np.testing.assert_array_equal(loaded.perturbed_frame.vectors, vectors)

@@ -1,4 +1,3 @@
-import base64
 import dataclasses
 import json
 from pathlib import Path
@@ -6,7 +5,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from framescale import Frame, audit_lemma_chain, generate_enpf, perturb_frame, repair, reverify
+from framescale import (
+    Frame,
+    audit_lemma_chain,
+    generate_enpf,
+    perturb_frame,
+    renormalize,
+    repair,
+    reverify,
+)
 from framescale.serialize import (
     encode_json,
     frame_to_dict,
@@ -17,6 +24,7 @@ from framescale.serialize import (
     write_frame,
     write_report,
 )
+from helpers import read_packed, write_packed
 
 # A framescale/1 report of the module fixture's repair, written before
 # framescale/2 existed; every array in it is a nested float list.
@@ -24,6 +32,9 @@ REPORT_V1 = Path(__file__).parent / "data" / "report_v1.json"
 # The same repair in framescale/2, written by the last code that wrote that
 # schema: packed arrays and a perturbation budget block.
 REPORT_V2 = Path(__file__).parent / "data" / "report_v2.json"
+# The same repair in framescale/3, written by the last code that wrote that
+# schema: base64 arrays, the perturbed frame always stored, no budget block.
+REPORT_V3 = Path(__file__).parent / "data" / "report_v3.json"
 
 PACKED_FIELDS = ("frames.input.vectors", "frames.perturbed.vectors", "scaling.t", "scaling.A")
 
@@ -45,6 +56,15 @@ def parent_and_key(data: dict, field: str) -> tuple[dict, str]:
 def repaired():
     frame = perturb_frame(generate_enpf(4, 11, 21), 1e-2, 21)
     report = repair(frame, 1e-9, seed=21)
+    return report, audit_lemma_chain(report)
+
+
+@pytest.fixture(scope="module")
+def moved():
+    # The harmonic (4, 8) frame has dependent 4-subsets, so the gate moves U.
+    vectors = generate_enpf(4, 8, 0).vectors.copy()
+    vectors[0] *= 0.8
+    report = repair(Frame(vectors), 1e-9, seed=0)
     return report, audit_lemma_chain(report)
 
 
@@ -151,13 +171,35 @@ def test_report_file_is_one_line(tmp_path, repaired):
     assert text.endswith("\n")
     assert "\n" not in text[:-1]
     data = json.loads(text)
-    assert data["schema"] == "framescale/3"
+    assert data["schema"] == "framescale/4"
     assert "budget" not in data
+    assert "perturbed" not in data["frames"]
     assert data["gamma_prime_effective"] == report.gamma_prime_effective
     for field in PACKED_FIELDS:
+        if field.startswith("frames.perturbed"):
+            continue
         parent, key = parent_and_key(data, field)
         assert isinstance(parent[key], str)
+        assert parent[key] == bytes.fromhex(parent[key]).hex()  # lowercase hex, nothing else
     assert isinstance(data["frames"]["output"]["vectors"], list)
+
+
+@pytest.mark.parametrize("which", ["repaired", "moved"])
+def test_perturbed_frame_is_stored_only_when_the_gate_moved_it(tmp_path, request, which):
+    report, audit = request.getfixturevalue(which)
+    U = report.perturbed_frame.vectors
+    renormalized = renormalize(report.input_frame, report.d / report.n).vectors
+    gate_moved = U.tobytes() != renormalized.tobytes()
+    assert gate_moved == (which == "moved")
+    path = tmp_path / "report.json"
+    write_report(path, report, audit)
+    frames = json.loads(path.read_text())["frames"]
+    assert ("perturbed" in frames) == gate_moved
+    if gate_moved:
+        assert_bit_equal(read_packed(frames["perturbed"]["vectors"]).reshape(U.shape), U)
+    loaded = read_report(path)
+    assert_bit_equal(loaded.perturbed_frame.vectors, U)
+    assert report_to_dict(reverify(loaded)) == report_to_dict(reverify(report))
 
 
 def test_v1_report_still_loads(tmp_path, repaired):
@@ -201,15 +243,43 @@ def test_v2_report_still_loads(repaired):
     assert audit_lemma_chain(loaded) == audit
 
 
-@pytest.mark.parametrize("source", ["framescale/3", "framescale/2"])
+def test_v3_report_still_loads(repaired):
+    # Today's repair of the same input is bit-identical to the stored one,
+    # so the /3 report re-emits as today's /4 report, perturbed frame dropped.
+    report, audit = repaired
+    raw = json.loads(REPORT_V3.read_text())
+    assert raw["schema"] == "framescale/3" and "perturbed" in raw["frames"]
+    loaded = read_report(REPORT_V3)
+    stored_U = read_packed(raw["frames"]["perturbed"]["vectors"], "framescale/3")
+    assert_bit_equal(loaded.perturbed_frame.vectors, stored_U.reshape(11, 4))
+    assert report_to_dict(loaded) == report_to_dict(report)
+    fresh = reverify(loaded)
+    assert fresh.certified and loaded.certified
+    assert audit_lemma_chain(fresh).passed
+    assert audit_lemma_chain(loaded) == audit
+
+
+@pytest.mark.parametrize("schema", ["framescale/3", "framescale/2"])
+def test_old_report_without_perturbed_frame_is_malformed(schema):
+    # Only framescale/4 rebuilds a missing U.
+    data = json.loads((REPORT_V3 if schema == "framescale/3" else REPORT_V2).read_text())
+    del data["frames"]["perturbed"]
+    with pytest.raises(ValueError, match="malformed report: KeyError: 'perturbed'"):
+        report_from_dict(data)
+
+
+@pytest.mark.parametrize("source", ["framescale/4", "framescale/3", "framescale/2"])
 def test_audit_measures_gamma_prime_of_a_stored_report(tmp_path, repaired, source):
     # Output vectors rotated by 1e-3 rad in a coordinate plane move W off Wt
     # by 2e-6 in squared distance. A stored gamma' of 1e-3 would cover that,
     # but the audit of the loaded report measures gamma' from its perturbed
     # frame and fails check (e).
     report, audit = repaired
-    if source == "framescale/3":
+    if source == "framescale/4":
         data = report_to_dict(report, audit)
+        data["gamma_prime_effective"] = 1e-3
+    elif source == "framescale/3":
+        data = json.loads(REPORT_V3.read_text())
         data["gamma_prime_effective"] = 1e-3
     else:
         data = json.loads(REPORT_V2.read_text())
@@ -227,20 +297,33 @@ def test_audit_measures_gamma_prime_of_a_stored_report(tmp_path, repaired, sourc
     assert loaded.gamma_prime_effective == report.gamma_prime_effective
 
 
+# Damage to a /3 report's base64 text, and to a /4 report's hex text,
+# which must not hold whitespace (bytes.fromhex would skip it).
+DAMAGES = {
+    "truncated": lambda text: text[:-4],
+    "not_base64": lambda text: "*" + text[1:],
+    "odd_length": lambda text: text[:-1],
+    "not_hex": lambda text: "g" + text[1:],
+    "whitespace": lambda text: f" {text} ",
+}
+
+
 @pytest.mark.parametrize("field", PACKED_FIELDS)
-@pytest.mark.parametrize("damage", ["truncated", "not_base64"])
-def test_damaged_packed_field_names_the_field(repaired, field, damage):
-    report, audit = repaired
-    data = report_to_dict(report, audit)
+@pytest.mark.parametrize("damage", list(DAMAGES))
+def test_damaged_packed_field_names_the_field(moved, field, damage):
+    if damage == "not_base64":
+        data = json.loads(REPORT_V3.read_text())
+    else:
+        report, audit = moved
+        data = report_to_dict(report, audit)
     parent, key = parent_and_key(data, field)
-    text = parent[key]
-    parent[key] = text[:-4] if damage == "truncated" else "*" + text[1:]
+    parent[key] = DAMAGES[damage](parent[key])
     with pytest.raises(ValueError, match=f"malformed report: {field} "):
         report_from_dict(data)
 
 
 @pytest.mark.parametrize("field", ["scaling.t", "scaling.A"])
-@pytest.mark.parametrize("schema", ["framescale/1", "framescale/2"])
+@pytest.mark.parametrize("schema", ["framescale/1", "framescale/2", "framescale/4"])
 def test_non_finite_scaling_is_malformed(repaired, field, schema):
     report, audit = repaired
     if schema == "framescale/1":
@@ -249,10 +332,13 @@ def test_non_finite_scaling_is_malformed(repaired, field, schema):
         parent, key = parent_and_key(data, field)
         parent[key][0] = None
     else:
-        data = report_to_dict(report, audit)
+        if schema == "framescale/2":
+            data = json.loads(REPORT_V2.read_text())
+        else:
+            data = report_to_dict(report, audit)
         parent, key = parent_and_key(data, field)
-        values = np.frombuffer(base64.b64decode(parent[key]), dtype="<f8").copy()
+        values = read_packed(parent[key], schema)
         values[0] = np.nan
-        parent[key] = base64.b64encode(values.tobytes()).decode("ascii")
+        parent[key] = write_packed(values, schema)
     with pytest.raises(ValueError, match=f"malformed report: {field} holds a non-finite value"):
         report_from_dict(data)
