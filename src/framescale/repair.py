@@ -96,9 +96,10 @@ class AuditRecord:
 class RepairReport:
     """Everything produced and certified by one repair run.
 
-    ``certified`` holds exactly when the output distance meets the
-    20 eps d^2 bound, the output frame meets the requested delta, and the
-    solver converged; all three are re-measured, never assumed.
+    ``certified`` holds exactly when the input's eps is below 1/2, the
+    paper's range, the output distance meets the 20 eps d^2 bound, the
+    output frame meets the requested delta, and the solver converged; all
+    four are re-measured, never assumed.
     """
 
     input_frame: Frame
@@ -261,7 +262,9 @@ def _certify(
         delta_solver=delta_solver,
         seed=seed,
         output_eps=output_eps,
-        certified=bool(dvw <= bound and output_eps <= delta and scaling.converged),
+        certified=bool(
+            metrics.eps < EPS_INPUT_MAX and dvw <= bound and output_eps <= delta and scaling.converged
+        ),
     )
 
 

@@ -15,23 +15,25 @@ failing solve reads S off its last iterate in one O(n d^2) scan
 (``_blocking_prefix``). The public functions read c off the frame's
 shape; the private kernels take it as a scalar.
 
-``_potential`` is the one evaluation of f: it builds M(t) and takes
-log det M(t) from its Cholesky factor, and returns +inf where M(t)
-overflows or is not positive definite. The solver's line search calls it
-once per trial point; ``scaling_potential`` checks t and calls it.
-``_scaling_state`` builds A = M(t)^{-1/2} from ``eigh`` of M(t), with
-its overflow and positive-definite checks, and the rows U A^T (row i is
-A u_i); the solver loop, the gradient and the Hessian share it, and f does
-not depend on it. ``_images`` forms the same U A^T from a given A, for the
-output frame of ``repair`` and the re-check of ``reverify``, so a re-check
-reproduces the solver's residual and stationarity gap bit for bit.
+Three kernels carry the module. ``_potential`` evaluates f from the
+Cholesky factor of M(t), for the line search and ``scaling_potential``,
+and is +inf where M(t) overflows or is not positive definite.
+``_scaling_state`` turns an iterate into A = M(t)^{-1/2}, from ``eigh``
+of M(t), the rows U A^T (row i is A u_i) and the whitened rows
+y_i = sqrt(c e^{t_i}) A u_i, for the solver loop, ``scaling_gradient``
+and ``scaling_hessian``. ``_isotropy_test`` is the convergence test below.
+The first two build M(t), and c e^t once, in ``_weighted_sum``, which
+holds the overflow guard. A failed M(t) has one wording: LinAlgError,
+also a ValueError, "weighted sum M(t) overflowed" or "weighted sum M(t)
+is singular". ``_images`` forms U A^T from a given A for ``repair`` and
+``reverify``, so a re-check reproduces the solver's residual and
+stationarity gap bit for bit.
 
-Everything the solver needs comes from the whitened rows
-y_i = sqrt(c e^{t_i}) M(t)^{-1/2} u_i. Their Gram matrix G = Y Y^T is the
-orthogonal projector onto the row space of the weighted vectors; the
-gradient is g_i = ||y_i||^2 - c and the Hessian is diag(G) - G o G,
-which ``scaling_hessian`` forms densely as a test oracle. The
-Hadamard square has rank at most r = d(d+1)/2: (G o G)_ij = K_i . K_j, where
+Everything the solver needs comes from the whitened rows Y. Their Gram
+matrix G = Y Y^T is the orthogonal projector onto the row space of the
+weighted vectors; the gradient is g_i = ||y_i||^2 - c and the Hessian is
+diag(G) - G o G, which ``scaling_hessian`` forms densely as a test
+oracle. The Hadamard square has rank at most r = d(d+1)/2: (G o G)_ij = K_i . K_j, where
 K_i is the upper triangle of y_i y_i^T with off-diagonal entries scaled by
 sqrt(2). The Newton system is therefore a diagonal matrix plus a term of
 rank r + 1 (the extra column pins the gauge direction 1), and for n > r + 1
@@ -116,9 +118,18 @@ class ScalingConvergenceError(RuntimeError):
         self.blocking_subset = blocking_subset
 
 
-def _weighted_sum(vecs: np.ndarray, c: float, t: np.ndarray) -> np.ndarray:
-    w = c * np.exp(t)
-    return (vecs.T * w) @ vecs
+class _WeightedSumError(np.linalg.LinAlgError, ValueError):
+    """A failed M(t), overflowed or singular: a ValueError whatever base numpy gives LinAlgError."""
+
+
+def _weighted_sum(vecs: np.ndarray, c: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The weights w = c e^t and M(t) = sum_i w_i u_i u_i^T; raises when M(t) overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = c * np.exp(t)
+        M = (vecs.T * w) @ vecs
+    if not np.all(np.isfinite(M)):
+        raise _WeightedSumError("weighted sum M(t) overflowed")
+    return w, M
 
 
 def _as_t(frame: Frame, t) -> np.ndarray:
@@ -133,16 +144,11 @@ def _as_t(frame: Frame, t) -> np.ndarray:
 def _potential(vecs: np.ndarray, c: float, t: np.ndarray) -> float:
     """f(t) = log det M(t) - c sum_i t_i from the Cholesky factor L of M(t).
 
-    log det M(t) = 2 sum_j log L_jj. Returns +inf when M(t) has a
-    non-finite entry (Cholesky would factor it without raising) or is not
-    numerically positive definite.
+    log det M(t) = 2 sum_j log L_jj. Returns +inf when M(t) overflows or
+    is not numerically positive definite.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        M = _weighted_sum(vecs, c, t)
-    if not np.all(np.isfinite(M)):
-        return float("inf")
     try:
-        L = np.linalg.cholesky(M)
+        L = np.linalg.cholesky(_weighted_sum(vecs, c, t)[1])
     except np.linalg.LinAlgError:
         return float("inf")
     return float(2.0 * np.log(np.diagonal(L)).sum() - c * t.sum())
@@ -157,42 +163,26 @@ def scaling_potential(frame: Frame, t) -> float:
     return _potential(frame.vectors, frame.d / frame.n, _as_t(frame, t))
 
 
-def _scaling_state(vecs: np.ndarray, c: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A = M(t)^{-1/2} and the rows vecs @ A.T of the iterate t.
+def _scaling_state(vecs: np.ndarray, c: float, t: np.ndarray) -> tuple[np.ndarray, ...]:
+    """A = M(t)^{-1/2}, the rows vecs @ A.T and the whitened rows Y of the iterate t.
 
-    Raises LinAlgError "weighted sum overflowed" when M(t) has a
-    non-finite entry and "weighted sum M(t) became singular" when it is
-    not positive definite.
+    Row i of Y is y_i = sqrt(c e^{t_i}) A u_i. Raises LinAlgError (also a
+    ValueError) "weighted sum M(t) overflowed" or "weighted sum M(t) is
+    singular".
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        M = _weighted_sum(vecs, c, t)
-    if not np.all(np.isfinite(M)):
-        raise np.linalg.LinAlgError("weighted sum overflowed")
+    w, M = _weighted_sum(vecs, c, t)
     eigs, Q = np.linalg.eigh(M)
     if eigs[0] <= 0 or not np.all(np.isfinite(eigs)):
-        raise np.linalg.LinAlgError("weighted sum M(t) became singular")
+        raise _WeightedSumError("weighted sum M(t) is singular")
     A = (Q / np.sqrt(eigs)) @ Q.T
-    return A, vecs @ A.T
-
-
-def _whitened(vecs: np.ndarray, c: float, t: np.ndarray) -> np.ndarray:
-    """Rows y_i = sqrt(c e^{t_i}) A u_i.
-
-    Raises ValueError "weighted sum M(t) overflowed" or "weighted sum M(t)
-    is singular", chained to the LinAlgError of ``_scaling_state``.
-    """
-    try:
-        _, images = _scaling_state(vecs, c, t)
-    except np.linalg.LinAlgError as exc:
-        cause = "overflowed" if str(exc) == "weighted sum overflowed" else "is singular"
-        raise ValueError(f"weighted sum M(t) {cause}") from exc
-    return images * np.sqrt(c * np.exp(t))[:, None]
+    images = vecs @ A.T
+    return A, images, images * np.sqrt(w)[:, None]
 
 
 def scaling_gradient(frame: Frame, t) -> np.ndarray:
     """Gradient g_i = (d/n) (e^{t_i} u_i^T M(t)^{-1} u_i - 1); sums to zero."""
     c = frame.d / frame.n
-    Y = _whitened(frame.vectors, c, _as_t(frame, t))
+    _, _, Y = _scaling_state(frame.vectors, c, _as_t(frame, t))
     return _row_sq_norms(Y) - c
 
 
@@ -203,7 +193,7 @@ def scaling_hessian(frame: Frame, t) -> np.ndarray:
     dense n x n form is a test oracle; the solver works from the rows Y and
     the rank-r factor K of G o G.
     """
-    Y = _whitened(frame.vectors, frame.d / frame.n, _as_t(frame, t))
+    _, _, Y = _scaling_state(frame.vectors, frame.d / frame.n, _as_t(frame, t))
     G = Y @ Y.T
     return np.diag(np.diag(G)) - G * G
 
@@ -337,16 +327,17 @@ def solve_radial_isotropic(
 
     Requires d/n in the basis polytope of the frame, which
     ``basis_polytope_membership`` decides for n <= 20. The solve fails when
-    M(t) becomes singular or overflows, or after ``max_iter`` iterations,
-    and then raises ScalingConvergenceError with the blocking subset of the
-    last iterate, if the scan finds one. Raises ValueError for a delta that
-    is not positive and finite, max_iter < 0 or a zero frame vector.
+    M(t) overflows or turns singular (the message then starts with the
+    wording of ``_scaling_state``) or after ``max_iter`` iterations, and
+    raises ScalingConvergenceError with the blocking subset of the last
+    iterate, if the scan finds one. Raises ValueError for a delta that is
+    not positive and finite, max_iter < 0 or a zero frame vector.
 
-    The iterates start at t = 0. Each iteration builds A and the rows U A^T
-    of t with ``_scaling_state``, tests the rows for convergence, whitens
-    them once (Y = images * sqrt(c e^t)), takes their squared norms q once,
-    reads the gradient g = q - c off them and takes the Newton direction
-    from ``_newton_direction(Y, q, g)``: through Woodbury on the rank-r
+    The iterates start at t = 0. Each iteration takes A, the rows U A^T and
+    the whitened rows Y of t from ``_scaling_state``, tests U A^T for
+    convergence, takes the squared norms q of Y once, reads the gradient
+    g = q - c off them and takes the Newton direction from
+    ``_newton_direction(Y, q, g)``: through Woodbury on the rank-r
     factor K of G o G when n > d(d+1)/2 + 1, so time is O(n d^4 + d^6) and
     memory one (d(d+1)/2 + 1) x n buffer, and otherwise by a dense solve of
     a single n x n matrix. A singular system or a non-descent direction
@@ -386,7 +377,7 @@ def solve_radial_isotropic(
     iterations = 0
     while True:
         try:
-            A, images = _scaling_state(vecs, c, t)
+            A, images, Y = _scaling_state(vecs, c, t)
         except np.linalg.LinAlgError as exc:
             raise fail(str(exc), float("inf"), iterations) from None
         _, resid, stationarity, converged = _isotropy_test(images, c, t, delta)
@@ -402,7 +393,6 @@ def solve_radial_isotropic(
         if iterations >= max_iter:
             raise fail(f"no convergence within {max_iter} iterations", resid, iterations)
 
-        Y = images * np.sqrt(c * np.exp(t))[:, None]
         q = _row_sq_norms(Y)
         g = q - c
         try:

@@ -133,6 +133,24 @@ def test_audit_rejects_negated_input(tmp_path, capsys):
     assert stderr_error(capsys)["type"] == "certification"
 
 
+def test_audit_rejects_input_outside_the_range(tmp_path, capsys):
+    # Tripling V leaves U = renormalize(3V, d/n) and the distance checks
+    # intact, but eps(3V) is far past 1/2, where the bound does not hold.
+    report_path = repaired_report(tmp_path, "json")
+    data = json.loads(report_path.read_text())
+    packed = data["frames"]["input"]
+    packed["vectors"] = write_packed(3 * read_packed(packed["vectors"]))
+    report_path.write_text(json.dumps(data))
+    audit_path = tmp_path / "a.json"
+    capsys.readouterr()
+    assert main(["audit", "--input", str(report_path), "--output", str(audit_path)]) == EXIT_CERTIFICATION
+    assert stderr_error(capsys)["type"] == "certification"
+    payload = json.loads(audit_path.read_text())
+    assert payload["eps"] >= 0.5
+    assert not payload["certified"]
+    assert payload["verdict_matches_stored"] is False
+
+
 @pytest.mark.parametrize("stored", [None, 1e-3, 1e300])
 def test_audit_derives_the_budget_from_the_input(tmp_path, capsys, stored):
     # Output vectors rotated by 1e-3 rad fail check (e) whatever gamma' the
@@ -274,7 +292,8 @@ def test_missing_input_is_config_error(tmp_path, capsys):
 
 def test_solve_rip_reports_blocking_subset(tmp_path, capsys):
     # By default M(t) turns singular and the infinite residual is written as
-    # null; stopped after one iteration, the residual is finite.
+    # null; stopped after one iteration, the residual is finite. The message
+    # leads with the wording of scaling_gradient and scaling_hessian.
     path = tmp_path / "degenerate.csv"
     path.write_text("# frame d=2 n=3\n1,0\n1,0\n0,1\n")
     for extra, residual_inf in (([], None), (["--max-iter", "1"], 1 / 3)):
@@ -283,6 +302,8 @@ def test_solve_rip_reports_blocking_subset(tmp_path, capsys):
         assert error["type"] == "no_convergence"
         assert error["blocking_subset"] == [0, 1]
         assert error["residual_inf"] == pytest.approx(residual_inf)
+        if not extra:
+            assert error["message"].startswith("weighted sum M(t) is singular; ")
 
 
 def write_csv_frame(path, rows) -> str:

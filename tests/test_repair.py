@@ -402,6 +402,16 @@ class TestReverify:
         path.write_text(json.dumps(data))
         assert not reverify(read_report(path)).certified
 
+    def test_tripled_input_outside_the_range_is_not_certified(self):
+        # U = renormalize(3V) equals U, and the bound 20 eps d^2 of the tripled
+        # input covers W; only the range eps < 1/2 of the bound is left to fail.
+        report = repair(perturbed_instance(4, 12, 1e-2, seed=3), 1e-9, seed=3)
+        fresh = reverify(dataclasses.replace(report, input_frame=Frame(3 * report.input_frame.vectors)))
+        assert fresh.eps >= 0.5
+        assert fresh.dist_sq_vw <= fresh.bound and fresh.output_eps <= fresh.delta
+        assert fresh.scaling.converged
+        assert not fresh.certified
+
     def test_tampered_packed_frame_detected(self, tmp_path):
         # The gate left U = renormalize(V, d/n), so the report leaves U out;
         # a stored perturbed block takes precedence over the rebuilt U.

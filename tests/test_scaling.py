@@ -19,7 +19,7 @@ from framescale import (
 
 from framescale import scaling
 from framescale.polytope import _VIOLATION_TOL
-from framescale.scaling import _newton_direction, _whitened
+from framescale.scaling import _newton_direction, _scaling_state
 from helpers import cofactor_det, fd_gradient, planted_frame, random_generic_frame
 
 IDENTITY2 = Frame(np.eye(2))
@@ -152,9 +152,8 @@ class TestWeightedSumErrors:
     def test_overflow_named(self, derivative):
         t = np.full(6, -160.0)
         t[0] = 800.0
-        with pytest.raises(ValueError, match=r"^weighted sum M\(t\) overflowed$") as info:
+        with pytest.raises(ValueError, match=r"^weighted sum M\(t\) overflowed$"):
             derivative(generate_enpf(3, 6, 0), t)
-        assert str(info.value.__cause__) == "weighted sum overflowed"
 
     @pytest.mark.parametrize("derivative", [scaling_gradient, scaling_hessian])
     def test_singular_named(self, derivative):
@@ -303,7 +302,7 @@ class TestNewtonDirection:
         tau = max(np.trace(H) / n, 1e-14)
         reg = H + tau * np.ones((n, n)) / n + 1e-14 * np.eye(n)
         expected = -np.linalg.solve(reg, g)
-        Y = _whitened(frame.vectors, d / n, t)
+        _, _, Y = _scaling_state(frame.vectors, d / n, t)
         p = _newton_direction(Y, (Y**2).sum(axis=1), g)
         assert np.linalg.norm(p - expected) <= 1e-9 * np.linalg.norm(expected)
 
@@ -312,7 +311,7 @@ class TestNewtonDirection:
     def test_step_peak_memory_is_one_buffer(self, d, n):
         rng = np.random.default_rng(4)
         frame = random_generic_frame(rng, d, n)
-        Y = _whitened(frame.vectors, d / n, rng.standard_normal(n) * 0.5)
+        _, _, Y = _scaling_state(frame.vectors, d / n, rng.standard_normal(n) * 0.5)
         q = (Y**2).sum(axis=1)
         g = q - d / n
         r = d * (d + 1) // 2
