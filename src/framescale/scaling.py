@@ -15,26 +15,27 @@ failing solve reads S off its last iterate in one O(n d^2) scan
 (``_blocking_prefix``). The public functions read c off the frame's
 shape; the private kernels take it as a scalar.
 
-Three kernels carry the module. ``_potential`` evaluates f from the
-Cholesky factor of M(t), for the line search and ``scaling_potential``,
-and is +inf where M(t) overflows or is not positive definite.
-``_scaling_state`` turns an iterate into A = M(t)^{-1/2}, from ``eigh``
-of M(t), the rows U A^T (row i is A u_i) and the whitened rows
-y_i = sqrt(c e^{t_i}) A u_i, for the solver loop, ``scaling_gradient``
-and ``scaling_hessian``. ``_isotropy_test`` is the convergence test below.
-The first two build M(t), and c e^t once, in ``_weighted_sum``, which
-holds the overflow guard. A failed M(t) has one wording: LinAlgError,
-also a ValueError, "weighted sum M(t) overflowed" or "weighted sum M(t)
-is singular". ``_images`` forms U A^T from a given A for ``repair`` and
-``reverify``, so a re-check reproduces the solver's residual and
-stationarity gap bit for bit.
+Four kernels carry the module. ``_factor`` builds w = c e^t and M(t),
+with the overflow guard, and takes the Cholesky factor L of M(t).
+``_potential`` reads f off L, for the line search and
+``scaling_potential``, is +inf where ``_factor`` fails, and hands the
+factor on: the accepted trial point is the next iterate, factored once.
+``_whitened`` turns the factor into the rows y_i = sqrt(w_i) L^{-1} u_i for
+the solver, ``scaling_gradient`` and ``scaling_hessian``. ``_scaling_state``
+takes the symmetric A = M(t)^{-1/2} from ``eigh`` and the rows U A^T (row
+i is A u_i), only where the solver may return the iterate. A failed M(t)
+has one wording: LinAlgError, also a ValueError, "weighted sum M(t)
+overflowed" or "weighted sum M(t) is singular". ``_images`` forms U A^T
+from a given A for ``repair`` and ``reverify``, so a re-check reproduces
+the solver's residual and stationarity gap bit for bit.
 
 Everything the solver needs comes from the whitened rows Y. Their Gram
-matrix G = Y Y^T is the orthogonal projector onto the row space of the
-weighted vectors; the gradient is g_i = ||y_i||^2 - c and the Hessian is
-diag(G) - G o G, which ``scaling_hessian`` forms densely as a test
-oracle. The Hadamard square has rank at most r = d(d+1)/2: (G o G)_ij = K_i . K_j, where
-K_i is the upper triangle of y_i y_i^T with off-diagonal entries scaled by
+matrix G = Y Y^T, the same for L^{-1} as for any square root of M(t)^{-1},
+is the orthogonal projector onto the row space of the weighted vectors;
+the gradient is g_i = ||y_i||^2 - c and the Hessian is diag(G) - G o G,
+which ``scaling_hessian`` forms densely as a test oracle. The Hadamard
+square has rank at most r = d(d+1)/2: (G o G)_ij = K_i . K_j, where K_i
+is the upper triangle of y_i y_i^T with off-diagonal entries scaled by
 sqrt(2). The Newton system is therefore a diagonal matrix plus a term of
 rank r + 1 (the extra column pins the gauge direction 1), and for n > r + 1
 it is solved exactly through the Woodbury identity in O(n r^2 + r^3) time,
@@ -122,16 +123,6 @@ class _WeightedSumError(np.linalg.LinAlgError, ValueError):
     """A failed M(t), overflowed or singular: a ValueError whatever base numpy gives LinAlgError."""
 
 
-def _weighted_sum(vecs: np.ndarray, c: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The weights w = c e^t and M(t) = sum_i w_i u_i u_i^T; raises when M(t) overflows."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        w = c * np.exp(t)
-        M = (vecs.T * w) @ vecs
-    if not np.all(np.isfinite(M)):
-        raise _WeightedSumError("weighted sum M(t) overflowed")
-    return w, M
-
-
 def _as_t(frame: Frame, t) -> np.ndarray:
     ta = np.asarray(t, dtype=float).ravel()
     if ta.size != frame.n:
@@ -141,17 +132,26 @@ def _as_t(frame: Frame, t) -> np.ndarray:
     return ta
 
 
-def _potential(vecs: np.ndarray, c: float, t: np.ndarray) -> float:
-    """f(t) = log det M(t) - c sum_i t_i from the Cholesky factor L of M(t).
-
-    log det M(t) = 2 sum_j log L_jj. Returns +inf when M(t) overflows or
-    is not numerically positive definite.
-    """
+def _factor(vecs: np.ndarray, c: float, t: np.ndarray) -> tuple[np.ndarray, ...]:
+    """w = c e^t, M(t) = sum_i w_i u_i u_i^T and its Cholesky factor L; raises the one wording."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = c * np.exp(t)
+        M = (vecs.T * w) @ vecs
+    if not np.all(np.isfinite(M)):
+        raise _WeightedSumError("weighted sum M(t) overflowed")
     try:
-        L = np.linalg.cholesky(_weighted_sum(vecs, c, t)[1])
+        return w, M, np.linalg.cholesky(M)
     except np.linalg.LinAlgError:
-        return float("inf")
-    return float(2.0 * np.log(np.diagonal(L)).sum() - c * t.sum())
+        raise _WeightedSumError("weighted sum M(t) is singular") from None
+
+
+def _potential(vecs: np.ndarray, c: float, t: np.ndarray) -> tuple[float, tuple | None]:
+    """f(t) = 2 sum_j log L_jj - c sum_i t_i and the factor; (+inf, None) where ``_factor`` fails."""
+    try:
+        factor = _factor(vecs, c, t)
+    except np.linalg.LinAlgError:
+        return float("inf"), None
+    return float(2.0 * np.log(np.diagonal(factor[2])).sum() - c * t.sum()), factor
 
 
 def scaling_potential(frame: Frame, t) -> float:
@@ -160,30 +160,28 @@ def scaling_potential(frame: Frame, t) -> float:
     Returns +inf when the weighted sum M(t) overflows or is singular (or
     numerically indefinite), which happens only off the feasible region.
     """
-    return _potential(frame.vectors, frame.d / frame.n, _as_t(frame, t))
+    return _potential(frame.vectors, frame.d / frame.n, _as_t(frame, t))[0]
 
 
-def _scaling_state(vecs: np.ndarray, c: float, t: np.ndarray) -> tuple[np.ndarray, ...]:
-    """A = M(t)^{-1/2}, the rows vecs @ A.T and the whitened rows Y of the iterate t.
+def _whitened(vecs: np.ndarray, factor: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Rows y_i = sqrt(w_i) L^{-1} u_i of the factor (w, M, L) of ``_factor``."""
+    w, _, L = factor
+    return (vecs * np.sqrt(w)[:, None]) @ np.linalg.inv(L).T
 
-    Row i of Y is y_i = sqrt(c e^{t_i}) A u_i. Raises LinAlgError (also a
-    ValueError) "weighted sum M(t) overflowed" or "weighted sum M(t) is
-    singular".
-    """
-    w, M = _weighted_sum(vecs, c, t)
-    eigs, Q = np.linalg.eigh(M)
-    if eigs[0] <= 0 or not np.all(np.isfinite(eigs)):
+
+def _scaling_state(vecs: np.ndarray, factor: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+    """A = M(t)^{-1/2}, from ``eigh`` of the factor's M(t), and the rows vecs @ A.T."""
+    eigs, Q = np.linalg.eigh(factor[1])
+    if eigs[0] <= 0:
         raise _WeightedSumError("weighted sum M(t) is singular")
     A = (Q / np.sqrt(eigs)) @ Q.T
-    images = vecs @ A.T
-    return A, images, images * np.sqrt(w)[:, None]
+    return A, vecs @ A.T
 
 
 def scaling_gradient(frame: Frame, t) -> np.ndarray:
     """Gradient g_i = (d/n) (e^{t_i} u_i^T M(t)^{-1} u_i - 1); sums to zero."""
     c = frame.d / frame.n
-    _, _, Y = _scaling_state(frame.vectors, c, _as_t(frame, t))
-    return _row_sq_norms(Y) - c
+    return _row_sq_norms(_whitened(frame.vectors, _factor(frame.vectors, c, _as_t(frame, t)))) - c
 
 
 def scaling_hessian(frame: Frame, t) -> np.ndarray:
@@ -193,7 +191,7 @@ def scaling_hessian(frame: Frame, t) -> np.ndarray:
     dense n x n form is a test oracle; the solver works from the rows Y and
     the rank-r factor K of G o G.
     """
-    _, _, Y = _scaling_state(frame.vectors, frame.d / frame.n, _as_t(frame, t))
+    Y = _whitened(frame.vectors, _factor(frame.vectors, frame.d / frame.n, _as_t(frame, t)))
     G = Y @ Y.T
     return np.diag(np.diag(G)) - G * G
 
@@ -328,23 +326,24 @@ def solve_radial_isotropic(
     Requires d/n in the basis polytope of the frame, which
     ``basis_polytope_membership`` decides for n <= 20. The solve fails when
     M(t) overflows or turns singular (the message then starts with the
-    wording of ``_scaling_state``) or after ``max_iter`` iterations, and
+    wording of ``_factor``) or after ``max_iter`` iterations, and
     raises ScalingConvergenceError with the blocking subset of the last
     iterate, if the scan finds one. Raises ValueError for a delta that is
     not positive and finite, max_iter < 0 or a zero frame vector.
 
-    The iterates start at t = 0. Each iteration takes A, the rows U A^T and
-    the whitened rows Y of t from ``_scaling_state``, tests U A^T for
-    convergence, takes the squared norms q of Y once, reads the gradient
-    g = q - c off them and takes the Newton direction from
-    ``_newton_direction(Y, q, g)``: through Woodbury on the rank-r
-    factor K of G o G when n > d(d+1)/2 + 1, so time is O(n d^4 + d^6) and
-    memory one (d(d+1)/2 + 1) x n buffer, and otherwise by a dense solve of
-    a single n x n matrix. A singular system or a non-descent direction
-    falls back to -g. The Armijo line search gauge-fixes each trial point
-    and takes its f from ``_potential``, O(n d^2 + d^3) per trial; f at
-    t = 0 is evaluated once before the loop, and the accepted trial's f
-    serves as f0 of the next iteration, so every point's f is computed once.
+    The iterates start at t = 0. Each iteration whitens the rows with the
+    factor that ``_potential`` left for t and reads the gradient g = q - c
+    off their squared norms q. Only where the stationarity gap max|g|/c is
+    within STATIONARITY_FACTOR delta, after a line search that ran out of
+    halvings or at the last iteration does ``_scaling_state`` form A and
+    U A^T for the convergence test: a converging solve takes one ``eigh``.
+    The Newton direction comes from ``_newton_direction(Y, q, g)``: through
+    Woodbury on the rank-r factor K of G o G when n > d(d+1)/2 + 1, so time
+    is O(n d^4 + d^6) and memory one (d(d+1)/2 + 1) x n buffer, and
+    otherwise by a dense solve of one n x n matrix. A singular system or a
+    non-descent direction falls back to -g. The Armijo line search takes f
+    and the factor of each gauge-fixed trial from ``_potential``, O(n d^2 +
+    d^3) per trial, so every point is factored once.
     """
     if not 0.0 < delta < math.inf:
         raise ValueError(f"delta must be positive and finite, got {delta!r}")
@@ -356,7 +355,7 @@ def solve_radial_isotropic(
     if dead.size:
         raise ValueError(f"frame has a zero vector at index {dead[0]}")
     t = np.zeros(frame.n)
-    f0 = _potential(vecs, c, t)
+    f0, factor = _potential(vecs, c, t)
 
     def fail(reason: str, resid: float, iterations: int) -> ScalingConvergenceError:
         blocking = _blocking_prefix(vecs, c, t)
@@ -374,27 +373,25 @@ def solve_radial_isotropic(
             blocking_subset=blocking,
         )
 
-    iterations = 0
+    # max|g|/c is the stationarity gap. Only an iterate that meets it, a
+    # stalled one or the last one is worth A and the isotropy test.
+    gap_tol, iterations, stalled = STATIONARITY_FACTOR * delta * c, 0, False
     while True:
         try:
-            A, images, Y = _scaling_state(vecs, c, t)
+            # A failed factor is taken again, to raise with its wording.
+            Y = _whitened(vecs, factor or _factor(vecs, c, t))
+            q = _row_sq_norms(Y)
+            g = q - c
+            if stalled or iterations >= max_iter or np.abs(g).max() <= gap_tol:
+                A, images = _scaling_state(vecs, factor)
+                _, resid, stationarity, converged = _isotropy_test(images, c, t, delta)
+                if converged:
+                    return ScalingSolution(t.copy(), A, resid, iterations, True, stationarity)
+                if iterations >= max_iter:
+                    raise fail(f"no convergence within {max_iter} iterations", resid, iterations)
         except np.linalg.LinAlgError as exc:
             raise fail(str(exc), float("inf"), iterations) from None
-        _, resid, stationarity, converged = _isotropy_test(images, c, t, delta)
-        if converged:
-            return ScalingSolution(
-                t=t.copy(),
-                A=A,
-                residual_inf=resid,
-                iterations=iterations,
-                converged=True,
-                stationarity_gap=stationarity,
-            )
-        if iterations >= max_iter:
-            raise fail(f"no convergence within {max_iter} iterations", resid, iterations)
 
-        q = _row_sq_norms(Y)
-        g = q - c
         try:
             p = _newton_direction(Y, q, g)
         except np.linalg.LinAlgError:
@@ -404,17 +401,19 @@ def solve_radial_isotropic(
         p -= p.mean()
 
         # The step left after the last halving is taken without the Armijo
-        # test; it is still evaluated, since its f is the next f0.
+        # test, and the point it reaches is stalled; it is still evaluated,
+        # since its f and factor serve the next iteration.
         noise = _ARMIJO_NOISE * (1.0 + abs(f0))
         slope = float(g @ p)
         step = 1.0
         for halvings in range(_MAX_HALVINGS + 1):
             trial = t + step * p
             trial -= trial.mean()
-            f_trial = _potential(vecs, c, trial)
+            f_trial, trial_factor = _potential(vecs, c, trial)
             if halvings == _MAX_HALVINGS or f_trial <= f0 + _ARMIJO_C * step * slope + noise:
                 break
             step *= 0.5
-        t, f0 = trial, f_trial
+        t, f0, factor = trial, f_trial, trial_factor
+        stalled = halvings == _MAX_HALVINGS
         iterations += 1
 

@@ -1,4 +1,5 @@
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from framescale import (
 
 from framescale import scaling
 from framescale.polytope import _VIOLATION_TOL
-from framescale.scaling import _newton_direction, _scaling_state
+from framescale.scaling import _factor, _newton_direction, _whitened
 from helpers import cofactor_det, fd_gradient, planted_frame, random_generic_frame
 
 IDENTITY2 = Frame(np.eye(2))
@@ -277,22 +278,22 @@ class TestBlockingSubset:
         assert set(info.value.blocking_subset) <= set(range(k))
 
 
+# (3, 40), (8, 64) and (16, 200) have n > d(d+1)/2 + 1 and take the
+# low-rank path; (6, 12) is dense. Spread 4.0 puts t near the polytope
+# boundary, where the system's condition number reaches 1e5 to 3e6.
+NEWTON_CASES = [
+    (0.0, 3, 40),
+    (0.0, 6, 12),
+    (1.5, 3, 40),
+    (1.5, 6, 12),
+    (4.0, 3, 40),
+    (4.0, 8, 64),
+    (4.0, 16, 200),
+]
+
+
 class TestNewtonDirection:
-    # (3, 40), (8, 64) and (16, 200) have n > d(d+1)/2 + 1 and take the
-    # low-rank path; (6, 12) is dense. Spread 4.0 puts t near the polytope
-    # boundary, where the system's condition number reaches 1e5 to 3e6.
-    @pytest.mark.parametrize(
-        "spread, d, n",
-        [
-            (0.0, 3, 40),
-            (0.0, 6, 12),
-            (1.5, 3, 40),
-            (1.5, 6, 12),
-            (4.0, 3, 40),
-            (4.0, 8, 64),
-            (4.0, 16, 200),
-        ],
-    )
+    @pytest.mark.parametrize("spread, d, n", NEWTON_CASES)
     def test_matches_dense_hessian_solve(self, d, n, spread):
         rng = np.random.default_rng(15)
         frame = random_generic_frame(rng, d, n)
@@ -302,7 +303,7 @@ class TestNewtonDirection:
         tau = max(np.trace(H) / n, 1e-14)
         reg = H + tau * np.ones((n, n)) / n + 1e-14 * np.eye(n)
         expected = -np.linalg.solve(reg, g)
-        _, _, Y = _scaling_state(frame.vectors, d / n, t)
+        Y = _whitened(frame.vectors, _factor(frame.vectors, d / n, t))
         p = _newton_direction(Y, (Y**2).sum(axis=1), g)
         assert np.linalg.norm(p - expected) <= 1e-9 * np.linalg.norm(expected)
 
@@ -311,7 +312,7 @@ class TestNewtonDirection:
     def test_step_peak_memory_is_one_buffer(self, d, n):
         rng = np.random.default_rng(4)
         frame = random_generic_frame(rng, d, n)
-        _, _, Y = _scaling_state(frame.vectors, d / n, rng.standard_normal(n) * 0.5)
+        Y = _whitened(frame.vectors, _factor(frame.vectors, d / n, rng.standard_normal(n) * 0.5))
         q = (Y**2).sum(axis=1)
         g = q - d / n
         r = d * (d + 1) // 2
@@ -337,6 +338,44 @@ class TestNewtonDirection:
         assert peak < 64 * 2**20
         _, resid = isotropy_residual(frame, sol.A)
         assert resid <= 1e-9
+
+
+class TestOneFactorization:
+    """Each point's M(t) is factored once, by ``_potential``; the whitened
+    rows come from that factor, and ``eigh`` runs only where the solver can
+    return the iterate."""
+
+    def test_converging_solve_takes_one_eigh(self, monkeypatch):
+        frame = perturb_frame(generate_enpf(48, 192, seed=0), 1e-2, seed=0)
+        calls = Counter()
+
+        def counted(name, function):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+
+            return call
+
+        for name in ("eigh", "cholesky"):
+            monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+        monkeypatch.setattr(scaling, "_potential", counted("f", scaling._potential))
+        sol = solve_radial_isotropic(frame, 1e-9 / 48)
+        assert sol.converged and sol.iterations > 0
+        assert calls["eigh"] == 1
+        assert calls["cholesky"] == calls["f"] > sol.iterations
+
+    @pytest.mark.parametrize("spread, d, n", NEWTON_CASES)
+    def test_whitening_matches_inverse_oracle(self, d, n, spread):
+        rng = np.random.default_rng(15)
+        frame = random_generic_frame(rng, d, n)
+        t = rng.standard_normal(n) * spread
+        U, c = frame.vectors, d / n
+        w = c * np.exp(t)
+        G_oracle = np.sqrt(np.outer(w, w)) * (U @ np.linalg.inv((U.T * w) @ U) @ U.T)
+        Y = _whitened(U, _factor(U, c, t))
+        np.testing.assert_allclose(Y @ Y.T, G_oracle, rtol=0, atol=1e-12)
+        np.testing.assert_allclose((Y**2).sum(axis=1), np.diag(G_oracle), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(scaling_gradient(frame, t), np.diag(G_oracle) - c, rtol=0, atol=1e-12)
 
 
 class TestIsotropyTest:
