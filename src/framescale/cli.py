@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import logging
 import math
 import os
@@ -28,6 +29,7 @@ from .repair import EPS_INPUT_MAX, audit_lemma_chain, repair, reverify
 from .scaling import DEFAULT_MAX_ITER, ScalingConvergenceError, solve_radial_isotropic
 from .seeding import derive_seed
 from .serialize import (
+    _write_file,
     encode_json,
     metrics_to_dict,
     read_frame,
@@ -55,7 +57,7 @@ def _emit(payload: dict, output: Path | None) -> None:
     if output is None:
         sys.stdout.write(data.decode())
     else:
-        output.write_bytes(data)
+        _write_file(output, data)
 
 
 def _error(kind: str, message: str, **extra) -> None:
@@ -206,15 +208,16 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             failures += 0 if rows[-1]["certified"] else 1
     if str(args.output).endswith(".csv"):
         # csv quotes the error messages, which may hold commas, and writes None as "".
-        with args.output.open("w", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(rows[0].keys())
-            for row in rows:
-                writer.writerow(
-                    format(v, ".17g") if isinstance(v, float) else v for v in row.values()
-                )
+        text = io.StringIO()
+        writer = csv.writer(text, lineterminator="\n")
+        writer.writerow(rows[0].keys())
+        writer.writerows(
+            [format(v, ".17g") if isinstance(v, float) else v for v in row.values()] for row in rows
+        )
+        data = text.getvalue().encode()
     else:
-        args.output.write_bytes(encode_json(rows, "bench rows", indent=True))
+        data = encode_json(rows, "bench rows", indent=True)
+    _write_file(args.output, data)
     log.info("bench wrote %d rows to %s (%d failures)", len(rows), args.output, failures)
     if failures:
         _error("certification", f"{failures} of {len(rows)} bench rows failed or were not certified")

@@ -44,6 +44,20 @@ A report is malformed, and ``read_report`` raises a ValueError starting
 with the top-level ``d`` and ``n``. An infinite
 ``scaling.residual_inf`` or ``scaling.stationarity_gap`` is written as
 ``null`` and reads back as inf.
+
+Every file the package writes goes through one writer, ``_write_file``:
+reports, frames, and the CLI's ``--output`` files. It overwrites an
+existing file in place and then trims it to the new length; it never
+truncates a file to zero first. On ext4, truncating to zero frees the
+file's blocks (device discards on a ``discard`` mount) and arms
+``auto_da_alloc``, so the following ``close()`` starts writeback. Rewriting
+a 4 KB file that way measured 46 us and a 600 KB file 0.27 ms, against 3
+and 17 us in place (``BENCH_inplace_write.json``). Only overwrites gain;
+a write to a new path costs what it did. A write that fails partway is
+trimmed to the bytes it wrote, so the file holds a prefix of the new
+content, as it would after an ``O_TRUNC`` open, and never new bytes
+followed by old ones. The writer is not atomic: a crash or a concurrent
+reader can see a partial file.
 """
 
 from __future__ import annotations
@@ -51,6 +65,7 @@ from __future__ import annotations
 import base64
 import binascii
 import math
+import os
 import re
 from pathlib import Path
 
@@ -84,6 +99,28 @@ def _load_json(path: str | Path):
         return orjson.loads(Path(path).read_bytes())
     except orjson.JSONDecodeError as exc:
         raise ValueError(f"{path}: not valid JSON: {exc}") from exc
+
+
+def _write_file(path: str | Path, data: bytes) -> None:
+    """Write ``data`` to ``path`` in place: overwrite, then trim, never truncate to zero.
+
+    The file is trimmed only when it is still longer than ``data``, so a
+    character device or a pipe (``st_size`` 0, as ``os.devnull`` is) is
+    never truncated. A write that fails partway trims the file to the bytes
+    already written and re-raises.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    written = 0
+    try:
+        view = memoryview(data)
+        while written < len(view):
+            written += os.write(fd, view[written:])
+    finally:
+        try:
+            if os.fstat(fd).st_size > written:
+                os.ftruncate(fd, written)
+        finally:
+            os.close(fd)
 
 
 def _pack(array: np.ndarray) -> str:
@@ -140,20 +177,42 @@ def _packed_frame_from_dict(data: dict, field: str, schema: str) -> Frame:
 
 
 def write_frame(path: str | Path, frame: Frame) -> None:
-    """Write a frame as CSV when ``path`` ends in .csv, and as JSON otherwise."""
+    """Write a frame as CSV when ``path`` ends in .csv, and as JSON otherwise.
+
+    The file is overwritten in place by ``_write_file``. CSV lines end in a
+    bare line feed on every platform.
+    """
     if not str(path).endswith(".csv"):
-        Path(path).write_bytes(encode_json(frame_to_dict(frame), "frame"))
+        _write_file(path, encode_json(frame_to_dict(frame), "frame"))
         return
     lines = [f"# frame d={frame.d} n={frame.n}"]
     for row in frame.vectors:
         lines.append(",".join(format(v, ".17g") for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_file(path, ("\n".join(lines) + "\n").encode())
+
+
+def _require_numbers(data) -> None:
+    """ValueError unless every entry of a JSON frame's vectors is a JSON number.
+
+    orjson reads a number as an int or a float, and a string or a boolean as
+    neither, where ``np.array(..., dtype=float)`` would take "1" or true as 1.0.
+    """
+    vectors = data.get("vectors") if isinstance(data, dict) else None
+    for row in vectors if isinstance(vectors, list) else ():
+        for value in row if isinstance(row, list) else (row,):
+            if type(value) not in (int, float):
+                raise ValueError(f"malformed frame object: entry {value!r} is not a number")
 
 
 def read_frame(path: str | Path) -> Frame:
-    """Read a frame as CSV when ``path`` ends in .csv, and as JSON otherwise."""
+    """Read a frame as CSV when ``path`` ends in .csv, and as JSON otherwise.
+
+    A JSON entry that is not a number, such as "1" or true, is malformed.
+    """
     if not str(path).endswith(".csv"):
-        return frame_from_dict(_load_json(path))
+        data = _load_json(path)
+        _require_numbers(data)
+        return frame_from_dict(data)
     lines = [ln.strip() for ln in Path(path).read_text().splitlines() if ln.strip()]
     if not lines:
         raise ValueError(f"{path}: empty frame file")
@@ -357,9 +416,13 @@ def _report_from_dict(data: dict) -> RepairReport:
 
 
 def write_report(path: str | Path, report: RepairReport, audit: AuditRecord | None = None) -> None:
+    """Write the report, and the audit when given, as one line of ``framescale/4`` JSON.
+
+    The file is overwritten in place by ``_write_file``.
+    """
     # orjson encodes only C-contiguous arrays; a Frame keeps the order it was built with.
     data = _report_to_dict(report, audit, np.ascontiguousarray)
-    Path(path).write_bytes(encode_json(data, "report"))
+    _write_file(path, encode_json(data, "report"))
 
 
 def read_report(path: str | Path) -> RepairReport:

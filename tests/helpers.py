@@ -3,10 +3,17 @@
 from __future__ import annotations
 
 import base64
+import builtins
+import io
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 
+import framescale
 from framescale import Frame, frame_metrics, majorizes, scaling_potential, transport_distance
 from framescale.majorization import MAJORIZATION_TOL
 from framescale.polytope import RANK_RTOL, numerical_rank
@@ -27,6 +34,57 @@ def write_packed(values, schema: str = "framescale/4") -> str:
     """Inverse of ``read_packed``: ``values`` as the text of a packed field."""
     raw = np.ascontiguousarray(values, dtype="<f8").tobytes()
     return raw.hex() if schema == "framescale/4" else base64.b64encode(raw).decode("ascii")
+
+
+def record_opens(monkeypatch) -> list:
+    """Record how every file is opened: ``os.open``'s flags, and ``open``'s mode.
+
+    ``open`` is patched both as the builtin and as ``io.open``, which
+    ``pathlib`` calls.
+    """
+    calls = []
+    real_os_open, real_open = os.open, builtins.open
+
+    def os_open(path, flags, *args, **kwargs):
+        calls.append(flags)
+        return real_os_open(path, flags, *args, **kwargs)
+
+    def mode_open(file, mode="r", *args, **kwargs):
+        calls.append(mode)
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", os_open)
+    monkeypatch.setattr(builtins, "open", mode_open)
+    monkeypatch.setattr(io, "open", mode_open)
+    return calls
+
+
+def truncating_opens(calls: list) -> list:
+    """The recorded opens that truncate: ``O_TRUNC`` in the flags, or "w" in the mode."""
+    return [c for c in calls if (c & os.O_TRUNC if isinstance(c, int) else "w" in c)]
+
+
+def run_with_file_size_limit(limit: int, statement: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``statement`` in a fresh interpreter whose files may not grow past ``limit`` bytes.
+
+    ``framescale.cli`` is imported before the limit is set, and SIGXFSZ is
+    ignored, so a write past the limit fails with EFBIG rather than killing
+    the process. ``args`` arrive as ``sys.argv[1:]``.
+    """
+    program = (
+        "import resource, signal, sys\n"
+        "import framescale.cli\n"
+        "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+        "hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]\n"
+        f"resource.setrlimit(resource.RLIMIT_FSIZE, ({limit}, hard))\n"
+        f"{statement}\n"
+    )
+    source = str(Path(framescale.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", program, *args],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120,
+    )
 
 
 def cofactor_det(M: np.ndarray) -> float:

@@ -14,7 +14,13 @@ from framescale.cli import (
     main,
 )
 from framescale.serialize import read_frame, read_report
-from helpers import read_packed, write_packed
+from helpers import (
+    read_packed,
+    record_opens,
+    run_with_file_size_limit,
+    truncating_opens,
+    write_packed,
+)
 
 
 def stderr_error(capsys) -> dict:
@@ -283,6 +289,20 @@ def test_malformed_frame_file_is_config_error(tmp_path, capsys, command):
     assert error["message"].startswith("malformed frame object: ")
 
 
+@pytest.mark.parametrize("vectors", [
+    '[["1","0"],["0","1"]]',
+    "[[true,false],[false,true]]",
+    "[[1,true],[0,1]]",
+], ids=["strings", "booleans", "one_boolean"])
+def test_frame_entry_that_is_not_a_number_is_config_error(tmp_path, capsys, vectors):
+    path = tmp_path / "frame.json"
+    path.write_text(f'{{"d":2,"n":2,"vectors":{vectors}}}')
+    assert main(["analyze", "--input", str(path)]) == EXIT_CONFIG
+    error = stderr_error(capsys)
+    assert error["type"] == "config"
+    assert error["message"].startswith("malformed frame object: ")
+
+
 def test_missing_input_is_config_error(tmp_path, capsys):
     assert main(["analyze"]) == EXIT_CONFIG
     assert stderr_error(capsys)["type"] == "config"
@@ -448,3 +468,41 @@ def test_bench_checks_the_whole_grid_before_repairing(tmp_path, capsys, monkeypa
     assert code == EXIT_CONFIG
     assert stderr_error(capsys)["type"] == "config"
     assert not out.exists()
+
+
+def test_outputs_are_overwritten_without_truncating_on_open(tmp_path, monkeypatch):
+    frame = write_csv_frame(tmp_path / "frame.csv", [[1, 0], [0, 1], [1, 1]])
+    outputs = [tmp_path / name for name in ("analyze.json", "bench.json", "bench.csv")]
+    for path in outputs:
+        path.write_bytes(b"x" * 100_000)
+    calls = record_opens(monkeypatch)
+    assert main(["analyze", "--input", frame, "--output", str(outputs[0])]) == EXIT_OK
+    for path in outputs[1:]:
+        assert main(["bench", "--output", str(path), "--seed", "0", "--d", "2", "--n", "2d",
+                     "--eps", "1e-2", "--reps", "1"]) == EXIT_OK
+    assert sum(isinstance(c, int) for c in calls) >= len(outputs)
+    assert truncating_opens(calls) == []
+    assert json.loads(outputs[0].read_text())["n"] == 3
+    assert len(read_bench(outputs[1], "json")) == len(read_bench(outputs[2], "csv")) == 1
+
+
+def test_report_write_that_fails_partway_exits_2(tmp_path):
+    # A (3, 9) report is overwritten by a (3, 7) one under a 1000-byte file
+    # size limit: the repair exits 2 and leaves a prefix of the new report.
+    pytest.importorskip("resource")
+    paths = {}
+    for n in (9, 7):
+        paths[n] = tmp_path / f"frame{n}.json"
+        assert main(["generate", "--output", str(paths[n]), "--seed", "0", "--d", "3",
+                     "--n", str(n), "--eps", "1e-2"]) == EXIT_OK
+    report, whole = tmp_path / "report.json", tmp_path / "whole.json"
+    assert main(["repair", "--input", str(paths[9]), "--output", str(report), "--seed", "0"]) == EXIT_OK
+    assert main(["repair", "--input", str(paths[7]), "--output", str(whole), "--seed", "0"]) == EXIT_OK
+    assert report.stat().st_size > whole.stat().st_size > 1000
+    proc = run_with_file_size_limit(
+        1000, "sys.exit(framescale.cli.main(sys.argv[1:]))",
+        "repair", "--input", str(paths[7]), "--output", str(report), "--seed", "0",
+    )
+    assert proc.returncode == EXIT_CONFIG
+    assert json.loads(proc.stderr.strip().splitlines()[-1])["error"]["type"] == "config"
+    assert report.read_bytes() == whole.read_bytes()[:1000]

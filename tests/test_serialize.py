@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,13 @@ from framescale.serialize import (
     write_frame,
     write_report,
 )
-from helpers import read_packed, write_packed
+from helpers import (
+    read_packed,
+    record_opens,
+    run_with_file_size_limit,
+    truncating_opens,
+    write_packed,
+)
 
 # A framescale/1 report of the module fixture's repair, written before
 # framescale/2 existed; every array in it is a nested float list.
@@ -375,3 +382,82 @@ def test_non_finite_scaling_is_malformed(repaired, field, schema):
         parent[key] = write_packed(values, schema)
     with pytest.raises(ValueError, match=f"malformed report: {field} holds a non-finite value"):
         report_from_dict(data)
+
+
+@pytest.fixture(scope="module")
+def by_n():
+    """Repairs of a (3, 9) and a (3, 7) frame, keyed by n; the (3, 9) report is the longer."""
+    reports = {}
+    for n in (9, 7):
+        report = repair(perturb_frame(generate_enpf(3, n, n), 1e-2, n), 1e-9, seed=n)
+        reports[n] = report, audit_lemma_chain(report)
+    return reports
+
+
+@pytest.mark.parametrize("order", [(9, 7), (7, 9)], ids=["shorter_over_longer", "longer_over_shorter"])
+def test_overwritten_report_holds_exactly_the_new_bytes(tmp_path, by_n, order):
+    path = tmp_path / "report.json"
+    for n in order:
+        write_report(path, *by_n[n])
+    report, audit = by_n[order[-1]]
+    assert path.read_bytes() == encode_json(report_to_dict(report, audit), "report")
+    fresh = reverify(read_report(path))
+    assert fresh.n == order[-1]
+    assert fresh.certified
+    assert audit_lemma_chain(fresh).passed
+
+
+@pytest.mark.parametrize("name", ["frame.json", "frame.csv"])
+@pytest.mark.parametrize("order", [(9, 7), (7, 9)], ids=["shorter_over_longer", "longer_over_shorter"])
+def test_overwritten_frame_holds_exactly_the_new_bytes(tmp_path, by_n, name, order):
+    path, fresh = tmp_path / name, tmp_path / f"fresh.{name}"
+    for n in order:
+        write_frame(path, by_n[n][0].output_frame)
+    write_frame(fresh, by_n[order[-1]][0].output_frame)
+    assert path.read_bytes() == fresh.read_bytes()
+    assert read_frame(path).n == order[-1]
+
+
+def test_overwrite_keeps_the_inode(tmp_path, by_n):
+    # The file is rewritten in place, not replaced by a new file.
+    path = tmp_path / "report.json"
+    write_report(path, *by_n[9])
+    inode = os.stat(path).st_ino
+    write_report(path, *by_n[7])
+    assert os.stat(path).st_ino == inode
+
+
+@pytest.mark.parametrize("name", ["report.json", "frame.json", "frame.csv"])
+def test_no_write_truncates_on_open(tmp_path, monkeypatch, by_n, name):
+    report, audit = by_n[7]
+    path = tmp_path / name
+    path.write_bytes(b"x" * 100_000)
+    calls = record_opens(monkeypatch)
+    if name == "report.json":
+        write_report(path, report, audit)
+    else:
+        write_frame(path, report.output_frame)
+    assert any(isinstance(c, int) for c in calls)
+    assert truncating_opens(calls) == []
+    assert b"x" not in path.read_bytes()
+
+
+def test_write_to_devnull(by_n):
+    report, audit = by_n[7]
+    write_report(os.devnull, report, audit)
+    write_frame(os.devnull, report.output_frame)
+
+
+def test_failed_write_leaves_a_prefix_of_the_new_bytes(tmp_path):
+    # The limit stops the write partway over a longer old file; the file
+    # must not keep the old bytes past the new ones.
+    pytest.importorskip("resource")
+    path = tmp_path / "report.json"
+    path.write_bytes(b"o" * 8192)
+    proc = run_with_file_size_limit(
+        1000, "from framescale.serialize import _write_file\n_write_file(sys.argv[1], b'n' * 4096)",
+        str(path),
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.strip().splitlines()[-1].startswith("OSError: ")
+    assert path.read_bytes() == b"n" * 1000
