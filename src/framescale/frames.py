@@ -4,7 +4,10 @@ A frame is an ordered sequence of n vectors in R^d. It is an equal norm
 Parseval frame (ENPF) when the frame operator sum_i v_i v_i^T equals the
 identity and every squared norm equals d/n. The diagnostics here measure
 the worst relative violation of the two conditions. Squared row norms, here
-and in the solver and the repair, are one einsum call: ``_row_sq_norms``.
+and in the solver and the repair, are one einsum call: ``_row_sq_norms``;
+a sum of squares over a whole array, such as ``dist_sq``, is one dot
+product: ``_sum_sq``. The audit, which keeps its vectors as columns, takes
+their norms as matrix-vector products instead.
 """
 
 from __future__ import annotations
@@ -29,6 +32,12 @@ _MAX_BAND_ITERS = 80
 def _row_sq_norms(X: np.ndarray) -> np.ndarray:
     """||x_i||^2 for every row of the 2-d array X; inf, never a warning, on overflow."""
     return np.einsum("ij,ij->i", X, X)
+
+
+def _sum_sq(X: np.ndarray) -> float:
+    """The sum of the squared entries of X, as one dot product of the raveled array."""
+    flat = X.ravel()
+    return float(flat @ flat)
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,8 +118,7 @@ def dist_sq(first: Frame, second: Frame) -> float:
         raise ValueError(
             f"frame shape mismatch: ({first.n}, {first.d}) vs ({second.n}, {second.d})"
         )
-    diff = first.vectors - second.vectors
-    return float((diff * diff).sum())
+    return _sum_sq(first.vectors - second.vectors)
 
 
 def _harmonic_vectors(d: int, n: int) -> np.ndarray:

@@ -15,6 +15,10 @@ coordinate differences, so the factor 2 is tight, e.g. x=(1,0), y=(0,1)).
 ``majorization_rows`` evaluates the majorization test and T on paired rows
 of (..., d) arrays along the last axis, prefix-summed by ``_prefix_sums``;
 the 1-D ``majorizes`` and ``transport_distance`` call it on a single row.
+``repair.audit_lemma_chain`` calls none of the three: it keeps each vector
+in a column of a (d, n) array and prefix-sums all n at once with the
+transposed triangle ``_upper_ones(d).T``, so the three are the per-vector
+reference that its tests compare against.
 """
 
 from __future__ import annotations
@@ -57,21 +61,17 @@ def majorization_rows(x, y) -> tuple[np.ndarray, np.ndarray]:
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    return _rows_from_prefix(x, y, _prefix_sums(x), _prefix_sums(y))
+    px, py = _prefix_sums(x), _prefix_sums(y)
+    slack = MAJORIZATION_TOL * (1.0 + np.abs(x) @ np.ones(x.shape[-1]))
+    totals_agree = np.abs(px[..., -1] - py[..., -1]) <= slack
+    flags = totals_agree & np.all(px >= py - slack[..., None], axis=-1)
+    return flags, (y - x) @ np.arange(1.0, x.shape[-1] + 1.0)
 
 
 def _prefix_sums(x: np.ndarray) -> np.ndarray:
     """Prefix sums along the last axis; the d x d triangle only if it is no larger than x."""
     d = x.shape[-1]
     return x @ _upper_ones(d) if d * d <= x.size else np.cumsum(x, axis=-1)
-
-
-def _rows_from_prefix(x, y, px, py) -> tuple[np.ndarray, np.ndarray]:
-    """``majorization_rows`` of x and y, given their prefix sums px and py."""
-    slack = MAJORIZATION_TOL * (1.0 + np.abs(x) @ np.ones(x.shape[-1]))
-    totals_agree = np.abs(px[..., -1] - py[..., -1]) <= slack
-    flags = totals_agree & np.all(px >= py - slack[..., None], axis=-1)
-    return flags, (y - x) @ np.arange(1.0, x.shape[-1] + 1.0)
 
 
 def majorizes(x, y) -> bool:

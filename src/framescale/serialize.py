@@ -82,6 +82,9 @@ _SCHEMA_V2 = "framescale/2"
 _SCHEMA_V1 = "framescale/1"
 
 _CSV_HEADER = re.compile(r"#\s*frame\s+d=(\d+)\s+n=(\d+)\s*$")
+# A CSV cell: one decimal floating-point literal in ASCII digits, where
+# float() would also take "1_0", "nan", "inf" or non-ASCII digits.
+_CSV_CELL = re.compile(r"\s*[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?\s*")
 
 
 def encode_json(payload, what: str, indent: bool = False) -> bytes:
@@ -207,7 +210,8 @@ def _require_numbers(data) -> None:
 def read_frame(path: str | Path) -> Frame:
     """Read a frame as CSV when ``path`` ends in .csv, and as JSON otherwise.
 
-    A JSON entry that is not a number, such as "1" or true, is malformed.
+    A JSON entry that is not a number, such as "1" or true, is malformed,
+    and so is a CSV cell that is not a decimal literal, such as "1_0".
     """
     if not str(path).endswith(".csv"):
         data = _load_json(path)
@@ -220,11 +224,17 @@ def read_frame(path: str | Path) -> Frame:
     if header is None:
         raise ValueError(f"{path}: missing '# frame d=<d> n=<n>' header")
     d, n = int(header.group(1)), int(header.group(2))
-    rows = [[float(cell) for cell in ln.split(",")] for ln in lines[1:]]
+    rows = [[_csv_cell(path, cell) for cell in ln.split(",")] for ln in lines[1:]]
     frame = Frame(np.array(rows, dtype=float))
     if frame.d != d or frame.n != n:
         raise ValueError(f"{path}: header (d={d}, n={n}) disagrees with rows ({frame.d}, {frame.n})")
     return frame
+
+
+def _csv_cell(path, cell: str) -> float:
+    if _CSV_CELL.fullmatch(cell) is None:
+        raise ValueError(f"{path}: entry {cell.strip()!r} is not a decimal number")
+    return float(cell)
 
 
 def metrics_to_dict(metrics: FrameMetrics) -> dict:

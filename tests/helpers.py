@@ -225,7 +225,8 @@ def audit_per_vector_oracle(report) -> dict[str, tuple[bool, float, float]]:
     u = U @ vt.T
     w = W @ vt.T
     scaled = u * sigma
-    wtilde = scaled * (np.sqrt((u**2).sum(axis=1)) / np.sqrt((scaled**2).sum(axis=1)))[:, None]
+    squares = (u**2).T.copy()  # the audit's (d, n) layout: its norms are matrix-vector products
+    wtilde = scaled * (np.sqrt(np.ones(len(sigma)) @ squares) / np.sqrt(sigma**2 @ squares))[:, None]
     np.testing.assert_allclose(
         np.linalg.norm(wtilde, axis=1), np.linalg.norm(U, axis=1), rtol=1e-12
     )

@@ -303,6 +303,23 @@ def test_frame_entry_that_is_not_a_number_is_config_error(tmp_path, capsys, vect
     assert error["message"].startswith("malformed frame object: ")
 
 
+@pytest.mark.parametrize("cell", ["1_0", "nan", "inf"])
+def test_csv_cell_that_is_not_a_decimal_literal_is_config_error(tmp_path, capsys, cell):
+    # float() reads "1_0" as 10.0; the frame would load and analyze exit 0.
+    path = tmp_path / "frame.csv"
+    path.write_text(f"# frame d=2 n=3\n{cell},0\n0,1\n1,1\n")
+    assert main(["analyze", "--input", str(path)]) == EXIT_CONFIG
+    error = stderr_error(capsys)
+    assert error["type"] == "config"
+    assert error["message"].endswith(f"entry {cell!r} is not a decimal number")
+
+
+def test_csv_cells_take_every_decimal_literal_form(tmp_path):
+    path = tmp_path / "frame.csv"
+    path.write_text("# frame d=2 n=3\n+1.5e-3, -.5\n1.,1E+1\n 0 ,-0\n")
+    np.testing.assert_array_equal(read_frame(path).vectors, [[1.5e-3, -0.5], [1.0, 10.0], [0.0, -0.0]])
+
+
 def test_missing_input_is_config_error(tmp_path, capsys):
     assert main(["analyze"]) == EXIT_CONFIG
     assert stderr_error(capsys)["type"] == "config"

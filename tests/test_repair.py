@@ -21,6 +21,7 @@ from framescale import (
     repair,
     reverify,
 )
+from framescale.frames import _eps_norm
 from framescale.repair import _eta_max
 from framescale.serialize import read_report, write_report
 
@@ -284,12 +285,33 @@ class TestAuditChain:
             assert report.certified
             audit = audit_lemma_chain(report)
             assert audit.passed, (d, n, eps, [c for c in audit.checks if not c.passed])
-            # checks (a) and (b), row-wise, against the per-vector loops
-            for name, (passed, lhs, rhs) in audit_per_vector_oracle(report).items():
-                check = audit.check(name)
-                assert check.passed == passed, (d, n, eps, name)
-                assert math.isclose(check.lhs, lhs, rel_tol=1e-12), (d, n, eps, name)
-                assert math.isclose(check.rhs, rhs, rel_tol=1e-12), (d, n, eps, name)
+            self.assert_matches_per_vector_oracle(report, audit, (d, n, eps))
+
+    @pytest.mark.parametrize("d, n", [(4, 512), (8, 1024), (48, 192)])
+    def test_benchmark_shapes_match_the_per_vector_oracle(self, d, n):
+        report = repair(perturbed_instance(d, n, 1e-2, seed=0), 1e-9, seed=0)
+        assert report.certified
+        audit = audit_lemma_chain(report)
+        assert audit.passed, [c for c in audit.checks if not c.passed]
+        self.assert_matches_per_vector_oracle(report, audit, (d, n))
+
+    @staticmethod
+    def assert_matches_per_vector_oracle(report, audit, where):
+        """Checks (a), (b) and (e), evaluated for all vectors at once, against the per-vector loops."""
+        for name, (passed, lhs, rhs) in audit_per_vector_oracle(report).items():
+            check = audit.check(name)
+            assert check.passed == passed, (*where, name)
+            assert math.isclose(check.lhs, lhs, rel_tol=1e-12), (*where, name)
+            assert math.isclose(check.rhs, rhs, rel_tol=1e-12), (*where, name)
+
+    def test_gamma_prime_is_measured_once_per_report_from_its_own_frame(self):
+        report = repair(perturbed_instance(3, 7, 1e-2, seed=0), 1e-9, seed=0)
+        gp = report.gamma_prime_effective
+        assert gp == _eps_norm(report.perturbed_frame)
+        assert report.__dict__["gamma_prime_effective"] == gp
+        moved = Frame(report.perturbed_frame.vectors * 1.01)
+        assert dataclasses.replace(report, perturbed_frame=moved).gamma_prime_effective == _eps_norm(moved)
+        assert audit_lemma_chain(report).check("norm_rescaling_distance").rhs == 2.0 * gp
 
     def test_singular_transform_recorded_not_raised(self):
         report = repair(perturbed_instance(3, 7, 1e-2, seed=0), 1e-9, seed=0)
