@@ -15,10 +15,13 @@ coordinate differences, so the factor 2 is tight, e.g. x=(1,0), y=(0,1)).
 ``majorization_rows`` evaluates the majorization test and T on paired rows
 of (..., d) arrays along the last axis, prefix-summed by ``_prefix_sums``;
 the 1-D ``majorizes`` and ``transport_distance`` call it on a single row.
-``repair.audit_lemma_chain`` calls none of the three: it keeps each vector
-in a column of a (d, n) array and prefix-sums all n at once with the
-transposed triangle ``_upper_ones(d).T``, so the three are the per-vector
-reference that its tests compare against.
+The test itself, its slack and its totals rule, lives only in
+``_rows_from_prefix``, which takes the gap of the prefix sums along any
+axis. ``repair.audit_lemma_chain`` keeps each vector in a column of a
+(d, n) array, prefix-sums all n at once with the transposed triangle
+``_upper_ones(d).T`` and calls ``_rows_from_prefix`` along axis 0; it takes
+its transports as matrix-vector products, so the three public functions are
+the per-vector reference that its tests compare against.
 """
 
 from __future__ import annotations
@@ -61,11 +64,24 @@ def majorization_rows(x, y) -> tuple[np.ndarray, np.ndarray]:
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    px, py = _prefix_sums(x), _prefix_sums(y)
-    slack = MAJORIZATION_TOL * (1.0 + np.abs(x) @ np.ones(x.shape[-1]))
-    totals_agree = np.abs(px[..., -1] - py[..., -1]) <= slack
-    flags = totals_agree & np.all(px >= py - slack[..., None], axis=-1)
+    l1 = np.abs(x) @ np.ones(x.shape[-1])
+    flags = _rows_from_prefix(_prefix_sums(y) - _prefix_sums(x), l1)
     return flags, (y - x) @ np.arange(1.0, x.shape[-1] + 1.0)
+
+
+def _rows_from_prefix(deficit, l1, axis: int = -1) -> np.ndarray:
+    """Majorization flags of paired sequences x and y, from the gap of their prefix sums.
+
+    ``deficit`` holds prefix_y - prefix_x along ``axis``, and ``l1`` holds
+    ||x||_1 of each sequence, shaped like deficit without ``axis``. x
+    majorizes y when no entry of the deficit exceeds the slack
+    ``MAJORIZATION_TOL * (1 + l1)`` and the totals agree within it, so that
+    the last entry lies within the slack on either side.
+    """
+    slack = MAJORIZATION_TOL * (1.0 + np.asarray(l1))
+    worst = deficit.max(axis=axis)
+    total = np.take(deficit, -1, axis=axis)
+    return (worst <= slack) & (-total <= slack)
 
 
 def _prefix_sums(x: np.ndarray) -> np.ndarray:

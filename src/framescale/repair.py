@@ -37,7 +37,7 @@ from .frames import (
     frame_metrics,
     renormalize,
 )
-from .majorization import MAJORIZATION_TOL, _upper_ones
+from .majorization import MAJORIZATION_TOL, _rows_from_prefix, _upper_ones
 from .polytope import SUBSET_CAP, all_d_subsets_independent
 from .scaling import (
     DEFAULT_MAX_ITER,
@@ -319,7 +319,9 @@ def audit_lemma_chain(report: RepairReport) -> AuditRecord:
     coordinates or over the n vectors is a matrix-vector product (with
     ones, with S^2 or with the weights 1..d), the prefix sums of x and of y
     are one product each with the d x d triangle, and the per-vector
-    scalings broadcast along the n-long axis.
+    scalings broadcast along the n-long axis. Check (a) hands the gap of
+    the prefix sums to ``majorization._rows_from_prefix`` along axis 0, the
+    one place that holds the majorization rule.
 
     Failures are recorded in the returned checks, never raised: a
     singular A is audited like any other, and a u_i that A maps to zero
@@ -346,18 +348,12 @@ def audit_lemma_chain(report: RepairReport) -> AuditRecord:
 
     checks: list[AuditCheck] = []
 
-    # (a) per-vector majorization of x by y
-    prefix_gap = np.subtract(prefix_x, prefix_y, out=prefix_x)
+    # (a) per-vector majorization of x by y; prefix_y[-1] is ||y_i||_1
+    prefix_gap = prefix_x - prefix_y
     worst_prefix = float(prefix_gap.max())
     total_gap = float(np.abs(prefix_gap[-1]).max())
     prefix_tol = MAJORIZATION_TOL * mass
-    vector_slack = MAJORIZATION_TOL * (1.0 + prefix_y[-1])
-    # Gaps within the least vector's slack need no elementwise test.
-    least_slack = vector_slack.min()
-    all_major = bool(
-        (worst_prefix <= least_slack and total_gap <= least_slack)
-        or (np.all(prefix_gap <= vector_slack) and np.all(-prefix_gap[-1] <= vector_slack))
-    )
+    all_major = bool(_rows_from_prefix(prefix_gap, prefix_y[-1], axis=0).all())
     checks.append(
         AuditCheck(
             name="scaled_squares_majorize",
@@ -369,12 +365,11 @@ def audit_lemma_chain(report: RepairReport) -> AuditRecord:
         )
     )
 
-    # (b) squared distance -> l1 -> transport chain; from here on the
-    # differences overwrite arrays that no later check reads
-    dist_u_wt = _sum_sq(np.subtract(rotated_u, wtilde, out=rotated_u))
-    gap = np.subtract(x, y, out=y)
+    # (b) squared distance -> l1 -> transport chain
+    dist_u_wt = _sum_sq(rotated_u - wtilde)
+    gap = x - y
     transport_each = float(index @ gap @ ones_n)
-    l1_total = float(ones_d @ np.abs(gap, out=gap) @ ones_n)
+    l1_total = float(ones_d @ np.abs(gap) @ ones_n)
     atol = _AUDIT_ATOL * mass
     slack_b1 = l1_total - dist_u_wt
     slack_b2 = 2.0 * transport_each - l1_total
@@ -418,7 +413,7 @@ def audit_lemma_chain(report: RepairReport) -> AuditRecord:
     )
 
     # (e) rescaling Wt -> W moves each vector by its norm drift only
-    dist_wt_w = _sum_sq(np.subtract(wtilde, rotated_w, out=rotated_w))
+    dist_wt_w = _sum_sq(wtilde - rotated_w)
     rhs_e = 2.0 * gp
     checks.append(
         AuditCheck(

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from framescale import majorizes, transport_distance
-from framescale.majorization import _prefix_sums, _upper_ones, majorization_rows
+from framescale.majorization import _prefix_sums, _rows_from_prefix, _upper_ones, majorization_rows
 
 from helpers import random_majorizing_pair, wasserstein_prefix
 
@@ -199,3 +199,29 @@ class TestScaledSquareMajorization:
         np.testing.assert_array_equal(
             transport, [transport_distance(y[i], x[i]) for i in range(1000)]
         )
+
+
+class TestPrefixRule:
+    """``_rows_from_prefix`` along axis 0, the layout of the audit's (d, n) arrays."""
+
+    def test_columns_match_rows(self):
+        rng = np.random.default_rng(6)
+        pairs = [TestScaledSquareMajorization.scaled_pair(rng, 2) for _ in range(199)]
+        pairs.insert(73, TestScaledSquareMajorization.unsorted_pair())
+        x = np.array([p[0] for p in pairs])
+        y = np.array([p[1] for p in pairs])
+        deficit = np.cumsum(x.T, axis=0) - np.cumsum(y.T, axis=0)
+        flags = _rows_from_prefix(deficit, np.abs(y).sum(axis=1), axis=0)
+        np.testing.assert_array_equal(flags, majorization_rows(y, x)[0])
+        np.testing.assert_array_equal(np.flatnonzero(~flags), [73])
+
+    def test_dominance_alone_is_not_enough(self):
+        # Both columns' prefix sums dominate; column 1's totals differ by 1e-9,
+        # more than its slack 3e-10.
+        x = np.array([[1.0, 2.0], [0.0, 0.0]])
+        y = np.array([[1.0, 2.0 - 1e-9], [0.0, 0.0]])
+        deficit = np.cumsum(y, axis=0) - np.cumsum(x, axis=0)
+        assert np.all(deficit <= 0.0)
+        flags = _rows_from_prefix(deficit, np.abs(x).sum(axis=0), axis=0)
+        np.testing.assert_array_equal(flags, [True, False])
+        np.testing.assert_array_equal(flags, [majorizes(x[:, i], y[:, i]) for i in range(2)])
