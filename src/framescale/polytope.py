@@ -12,10 +12,31 @@ support function max_{v in B(U)} u^T v, evaluated by the matroid greedy
 rule in their own oracle.
 
 ``all_d_subsets_independent`` is the exact general-position test of the
-repair pipeline. It screens each d-subset with a lower bound on
-sigma_min / sigma_max built from the determinant and the Frobenius norm,
-and runs an SVD only on the subsets that the bound cannot clear, so its
+repair pipeline. A subset's d x d stack S has rank d when sigma_min >
+``RANK_RTOL`` * sigma_max. Since sigma_max <= ||S||_F, and AM-GM bounds
+the product of the other d - 1 singular values by
+(||S||_F^2 / (d - 1))^((d - 1)/2), the screen
+
+    rho = |det S| (d - 1)^((d - 1)/2) / ||S||_F^d <= sigma_min / sigma_max
+
+clears every subset whose rho, taken in logs from ``slogdet``, exceeds
+``_SCREEN_MARGIN`` * ``RANK_RTOL``; only the others get an SVD. Rounding
+in rho is about 1e-6 relative at worst, far inside the margin, so the
 verdict is that of an SVD on every subset.
+
+The same bound survives a move. Let E move each row of S by a norm of at
+most eta. Then ||E||_2 <= ||E||_F <= sqrt(d) eta, and sigma_max(S) >=
+||S||_F / sqrt(d), so Weyl's inequalities give
+
+    sigma_min(S + E) / sigma_max(S + E)
+        >= (rho sigma_max(S) - sqrt(d) eta) / (sigma_max(S) + sqrt(d) eta)
+        >= (rho ||S||_F - d eta) / (||S||_F + d eta),
+
+the middle term growing with sigma_max(S). A subset whose last bound
+exceeds ``_SCREEN_MARGIN`` * ``RANK_RTOL`` passes the SVD test after
+every such move, the rounding of S + E included; ``_fragile_subsets``
+keeps the others, and ``_subsets_independent`` checks only those. At
+eta = 0 the bound is rho.
 
 These tests certify hypotheses of downstream solvers, so they refuse
 oversized instances instead of approximating.
@@ -99,23 +120,48 @@ def basis_polytope_membership(frame: Frame) -> tuple[int, ...] | None:
     return descend(0, 0.0)
 
 
+def _d_subsets(n: int, d: int):
+    """The d-subsets of range(n) in lexicographic order, as (k, d) index
+    arrays of at most ``_SUBSET_BATCH`` rows each."""
+    subsets = combinations(range(n), d)
+    while (flat := np.fromiter(chain.from_iterable(islice(subsets, _SUBSET_BATCH)), np.intp)).size:
+        yield flat.reshape(-1, d)
+
+
+def _am_gm(d: int) -> float:
+    """log (d - 1)^((d - 1)/2), the AM-GM factor of the screen's bound."""
+    return (d - 1) / 2 * math.log(max(d - 1, 1))
+
+
+def _screen(stacked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log(|det S| / ||S||_F^d) and ||S||_F^2 for every d x d stack S.
+
+    A squared norm below the smallest normal float is raised to it, which
+    only lowers the bound: a zero stack gives -inf, never NaN, and a norm
+    that underflowed cannot clear its subset.
+    """
+    sq_norms = np.maximum(np.einsum("kij,kij->k", stacked, stacked), _TINY)
+    return np.linalg.slogdet(stacked)[1] - stacked.shape[-1] / 2 * np.log(sq_norms), sq_norms
+
+
+def _independent(stacked: np.ndarray) -> bool:
+    """True iff every stack has rank d: the screen clears what it can, and
+    the singular-value test decides the rest, rows in subset order."""
+    log_floor = math.log(_SCREEN_MARGIN * RANK_RTOL) - _am_gm(stacked.shape[-1])
+    doubtful = stacked[~(_screen(stacked)[0] > log_floor)]
+    if doubtful.size == 0:
+        return True
+    sigma = np.linalg.svd(doubtful, compute_uv=False)
+    return bool(np.all(sigma[:, -1] > RANK_RTOL * sigma[:, 0]))
+
+
 def all_d_subsets_independent(frame: Frame) -> bool:
     """True iff every d-subset of the frame has numerical rank d.
 
-    A subset's d x d stack S has rank d when sigma_min > ``RANK_RTOL`` *
-    sigma_max. Since sigma_max <= ||S||_F, and AM-GM bounds the product of
-    the other d - 1 singular values by (||S||_F^2 / (d - 1))^((d - 1)/2),
-
-        sigma_min / sigma_max >= |det S| (d - 1)^((d - 1)/2) / ||S||_F^d.
-
-    A subset whose bound, taken in logs from ``slogdet``, exceeds
-    ``_SCREEN_MARGIN`` * ``RANK_RTOL`` passes without an SVD; every other
-    subset, a zero stack included, gets the singular-value test on its
-    rows in subset order. Rounding in the bound is about 1e-6 relative at
-    worst, far inside the margin, so the verdict is the SVD test's on
-    every subset. Subsets go in batches of ``_SUBSET_BATCH`` with early
-    exit on the first failing batch; instances with more than
-    ``SUBSET_CAP`` subsets are refused.
+    Each batch of ``_SUBSET_BATCH`` subsets gets the screen and then the
+    singular-value test on what the screen cannot clear (see the module
+    docstring), with early exit on the first failing batch; instances with
+    more than ``SUBSET_CAP`` subsets are refused.
     """
     d, n = frame.d, frame.n
     if n < d:
@@ -124,20 +170,40 @@ def all_d_subsets_independent(frame: Frame) -> bool:
     if count > SUBSET_CAP:
         raise ValueError(f"C({n},{d}) = {count} exceeds the cap of {SUBSET_CAP} subsets")
     vecs = frame.vectors
-    log_floor = math.log(_SCREEN_MARGIN * RANK_RTOL) - (d - 1) / 2 * math.log(max(d - 1, 1))
-    subsets = combinations(range(n), d)
-    while True:
-        flat = np.fromiter(chain.from_iterable(islice(subsets, _SUBSET_BATCH)), np.intp)
-        if flat.size == 0:
-            return True
-        stacked = vecs[flat.reshape(-1, d)]
-        # A squared norm below the smallest normal float is raised to it,
-        # which only lowers the bound: a zero stack gives -inf, never NaN,
-        # and a norm that underflowed cannot clear its subset.
-        sq_norms = np.maximum(np.einsum("kij,kij->k", stacked, stacked), _TINY)
-        log_bound = np.linalg.slogdet(stacked)[1] - d / 2 * np.log(sq_norms)
-        doubtful = stacked[~(log_bound > log_floor)]
-        if doubtful.size:
-            sigma = np.linalg.svd(doubtful, compute_uv=False)
-            if not np.all(sigma[:, -1] > RANK_RTOL * sigma[:, 0]):
-                return False
+    return all(_independent(vecs[index]) for index in _d_subsets(n, d))
+
+
+def _fragile_subsets(frame: Frame, eta: float) -> np.ndarray:
+    """The d-subsets that a move of norm at most eta per row may make dependent.
+
+    A subset is kept unless its Weyl bound (see the module docstring)
+    exceeds ``_SCREEN_MARGIN`` * ``RANK_RTOL``; the kept subsets come as a
+    (k, d) index array, lowest bound first.
+    """
+    d = frame.d
+    kept, bounds = [], []
+    for index in _d_subsets(frame.n, d):
+        log_bound, sq_norms = _screen(frame.vectors[index])
+        norm = np.sqrt(sq_norms)
+        bound = (np.exp(log_bound + _am_gm(d)) * norm - d * eta) / (norm + d * eta)
+        fragile = ~(bound > _SCREEN_MARGIN * RANK_RTOL)
+        kept.append(index[fragile])
+        bounds.append(bound[fragile])
+    return np.concatenate(kept)[np.argsort(np.concatenate(bounds), kind="stable")]
+
+
+def _subsets_independent(frame: Frame, subsets: np.ndarray) -> bool:
+    """True iff each of the given d-subsets has numerical rank d.
+
+    The subsets go in order, in batches of 1, 2, 4, ... up to
+    ``_SUBSET_BATCH``, so a frame that fails stops near its first failing
+    subset.
+    """
+    vecs = frame.vectors
+    start, size = 0, 1
+    while start < len(subsets):
+        if not _independent(vecs[subsets[start : start + size]]):
+            return False
+        start += size
+        size = min(2 * size, _SUBSET_BATCH)
+    return True

@@ -4,7 +4,10 @@ Given an input frame V whose measured nearness eps is below 1/2, the
 pipeline (1) rescales every vector to squared norm d/n, (2) when the
 d-subsets are few enough to check them all, moves every vector by a norm
 eta_max negligible against all certified bounds until every d-subset is
-independent; past that cap the renormalized frame goes on unperturbed,
+independent; past that cap the renormalized frame goes on unperturbed.
+A retry re-checks only the d-subsets that a move of norm eta_max could
+make dependent, found once by Weyl's bound; the others pass in every
+retry, so the verdict is that of checking all of them.
 (3) computes the radial isotropic scaling A for the coefficients d/n,
 which exists exactly when d/n lies in the basis polytope, and (4) outputs
 W with w_i = sqrt(d/n) A u_i / ||A u_i||, an equal norm Parseval frame up
@@ -38,7 +41,12 @@ from .frames import (
     renormalize,
 )
 from .majorization import MAJORIZATION_TOL, _rows_from_prefix, _upper_ones
-from .polytope import SUBSET_CAP, all_d_subsets_independent
+from .polytope import (
+    SUBSET_CAP,
+    _fragile_subsets,
+    _subsets_independent,
+    all_d_subsets_independent,
+)
 from .scaling import (
     DEFAULT_MAX_ITER,
     ScalingSolution,
@@ -157,7 +165,11 @@ def perturb_to_general_position(frame: Frame, eta_max: float, seed: int) -> Fram
     when every d-subset is already independent (generic inputs need no
     noise at all).
     Each retry draws fresh directions with every row scaled to exactly
-    eta_max, so dist^2 to the input is at most n eta_max^2.
+    eta_max, so dist^2 to the input is at most n eta_max^2. Once the input
+    fails, one more pass finds the subsets that a move of norm eta_max per
+    row may make dependent (``polytope._fragile_subsets``), and each retry
+    checks only those, lowest Weyl bound first. Every other subset passes
+    in every retry's frame, so the verdict is that of checking all of them.
     """
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
@@ -165,20 +177,17 @@ def perturb_to_general_position(frame: Frame, eta_max: float, seed: int) -> Fram
         raise ValueError(f"eta_max must be nonnegative, got {eta_max}")
     if frame.n < frame.d:
         raise ValueError("general position requires n >= d")
-    if math.comb(frame.n, frame.d) > SUBSET_CAP:
+    if math.comb(frame.n, frame.d) > SUBSET_CAP or all_d_subsets_independent(frame):
         return frame
-    for attempt in range(_RETRY_CAP + 1):
-        if attempt == 0:
-            candidate = frame
-        elif eta_max == 0.0:
-            break
-        else:
+    if eta_max > 0.0:
+        fragile = _fragile_subsets(frame, eta_max)
+        for attempt in range(1, _RETRY_CAP + 1):
             rng = spawn_rng(seed, 3, attempt)
             eta = rng.standard_normal(frame.vectors.shape)
             eta *= eta_max / np.sqrt(_row_sq_norms(eta))[:, None]
             candidate = Frame(frame.vectors + eta)
-        if all_d_subsets_independent(candidate):
-            return candidate
+            if _subsets_independent(candidate, fragile):
+                return candidate
     raise RuntimeError(
         f"no general-position frame within {_RETRY_CAP} retries at "
         f"eta_max={eta_max:.3e}; the budget sits at machine-noise level"

@@ -5,6 +5,7 @@ from __future__ import annotations
 import base64
 import builtins
 import io
+import math
 import os
 import subprocess
 import sys
@@ -14,10 +15,19 @@ from pathlib import Path
 import numpy as np
 
 import framescale
-from framescale import Frame, frame_metrics, majorizes, scaling_potential, transport_distance
+from framescale import (
+    Frame,
+    all_d_subsets_independent,
+    frame_metrics,
+    majorizes,
+    scaling_potential,
+    transport_distance,
+)
+from framescale.frames import _row_sq_norms
 from framescale.majorization import MAJORIZATION_TOL
-from framescale.polytope import RANK_RTOL, numerical_rank
-from framescale.repair import _AUDIT_ATOL
+from framescale.polytope import RANK_RTOL, SUBSET_CAP, numerical_rank
+from framescale.repair import _AUDIT_ATOL, _RETRY_CAP
+from framescale.seeding import spawn_rng
 
 
 def read_packed(text: str, schema: str = "framescale/4") -> np.ndarray:
@@ -285,6 +295,34 @@ def subsets_independent_by_svd(frame: Frame) -> bool:
                 return False
             batch = []
     return not batch or batch_ok(batch)
+
+
+def general_position_by_full_checks(frame: Frame, eta_max: float, seed: int) -> Frame:
+    """``perturb_to_general_position`` as a loop that checks every d-subset of every candidate.
+
+    The gate's loop from before its retries checked only the fragile
+    subsets, kept as their reference: the same draws from
+    ``spawn_rng(seed, 3, attempt)``, and ``all_d_subsets_independent`` on
+    the input and on each retry's candidate.
+    """
+    if math.comb(frame.n, frame.d) > SUBSET_CAP:
+        return frame
+    for attempt in range(_RETRY_CAP + 1):
+        if attempt == 0:
+            candidate = frame
+        elif eta_max == 0.0:
+            break
+        else:
+            rng = spawn_rng(seed, 3, attempt)
+            eta = rng.standard_normal(frame.vectors.shape)
+            eta *= eta_max / np.sqrt(_row_sq_norms(eta))[:, None]
+            candidate = Frame(frame.vectors + eta)
+        if all_d_subsets_independent(candidate):
+            return candidate
+    raise RuntimeError(
+        f"no general-position frame within {_RETRY_CAP} retries at "
+        f"eta_max={eta_max:.3e}; the budget sits at machine-noise level"
+    )
 
 
 def polytope_support(frame: Frame, direction) -> float:

@@ -1,4 +1,6 @@
+import math
 import warnings
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from framescale import (
     perturb_frame,
     renormalize,
 )
+from framescale.polytope import RANK_RTOL, _SCREEN_MARGIN, _fragile_subsets
 
 from helpers import (
     planted_frame,
@@ -119,6 +122,75 @@ class TestAllDSubsets:
         assert calls == []
         assert not all_d_subsets_independent(PARALLEL)
         assert calls
+
+
+def weyl_bound(S: np.ndarray, eta: float) -> float:
+    """(rho ||S||_F - d eta) / (||S||_F + d eta), with rho = |det S| (d-1)^((d-1)/2) / ||S||_F^d."""
+    d = S.shape[0]
+    norm = np.linalg.norm(S)
+    rho = abs(np.linalg.det(S)) * (d - 1) ** ((d - 1) / 2) / norm**d
+    return (rho * norm - d * eta) / (norm + d * eta)
+
+
+class TestFragileSubsets:
+    def test_bound_holds_under_every_move_of_norm_eta(self):
+        # planted d x d stacks with sigma_min / sigma_max log-uniform in
+        # [1e-13, 1e-2], half of them with the other singular values equal,
+        # where AM-GM is tight; each gets moves whose rows have norm exactly
+        # eta, one random and one pushed against its smallest singular pair
+        rng = np.random.default_rng(28)
+        floor = _SCREEN_MARGIN * RANK_RTOL
+        kept_and_dropped = set()
+        looser_bound_differs = 0
+        for d in range(2, 7):
+            for trial in range(12):
+                u, _, vt = np.linalg.svd(rng.standard_normal((d, d)))
+                sigma = np.ones(d) if trial % 2 else np.sort(10.0 ** rng.uniform(-2.0, 0.0, d))[::-1]
+                sigma[0], sigma[-1] = 1.0, 10.0 ** rng.uniform(-13.0, -2.0)
+                S = (u * sigma) @ vt * 10.0 ** rng.uniform(-3.0, 3.0)
+                norm = np.linalg.norm(S)
+                random_dirs = rng.standard_normal((d, d))
+                random_dirs /= np.linalg.norm(random_dirs, axis=1)[:, None]
+                u_min, _, vt_min = np.linalg.svd(S)
+                against = -np.sign(u_min[:, -1])[:, None] * vt_min[-1]
+                # eta over 14 decades, and the two eta that put the bound a
+                # thousandth below and above the floor, where rho allows
+                rho = weyl_bound(S, 0.0)
+                edges = [norm * (rho - b) / (d * (1.0 + b))
+                         for b in floor * np.array([0.999, 1.001]) if rho > b]
+                for eta in [0.0, *(norm * 10.0 ** np.arange(-16.0, -2.0)), *edges]:
+                    bound = weyl_bound(S, eta)
+                    kept = len(_fragile_subsets(Frame(S), eta)) == 1
+                    if abs(bound - floor) > 1e-6 * floor:
+                        assert kept == (not bound > floor), (d, trial, eta)
+                        kept_and_dropped.add(kept)
+                    looser = (rho * norm - math.sqrt(d) * eta) / (norm + math.sqrt(d) * eta)
+                    looser_bound_differs += (looser > floor) != (bound > floor)
+                    for move in (random_dirs, against):
+                        sv = np.linalg.svd(S + eta * move, compute_uv=False)
+                        assert sv[-1] / sv[0] >= bound * (1.0 - 1e-6) - 1e-15, (d, trial, eta)
+                        if not kept:
+                            assert sv[-1] > RANK_RTOL * sv[0]
+        assert kept_and_dropped == {True, False}
+        # cases where sqrt(d) eta in place of d eta would drop a kept subset
+        assert looser_bound_differs > 0
+
+    def test_keeps_exactly_the_subsets_the_bound_cannot_clear_lowest_first(self):
+        # rows 3, 4 and 5 nearly lie in planes of rows 0..2, at distances
+        # 1e-12, 1e-11 and 1e-10, so the weak subsets have distinct bounds
+        rng = np.random.default_rng(3)
+        vecs = rng.standard_normal((6, 3))
+        vecs[3] = vecs[0] + vecs[1] + 1e-12 * rng.standard_normal(3)
+        vecs[4] = vecs[0] - vecs[2] + 1e-11 * rng.standard_normal(3)
+        vecs[5] = vecs[1] + vecs[2] + 1e-10 * rng.standard_normal(3)
+        floor = _SCREEN_MARGIN * RANK_RTOL
+        for eta in (0.0, 1e-13, 1e-12, 1e-11):
+            fragile = _fragile_subsets(Frame(vecs), eta)
+            expected = {s for s in combinations(range(6), 3) if not weyl_bound(vecs[list(s)], eta) > floor}
+            assert {tuple(s) for s in fragile} == expected
+            bounds = [weyl_bound(vecs[list(s)], eta) for s in fragile]
+            assert len(bounds) >= 3
+            assert all(lo <= hi * (1 - 1e-6) for lo, hi in zip(bounds, bounds[1:]))
 
 
 class TestSupportFunction:

@@ -28,6 +28,7 @@ from framescale.serialize import read_report, write_report
 from helpers import (
     alternating_projections,
     audit_per_vector_oracle,
+    general_position_by_full_checks,
     mercedes_frame,
     read_packed,
     write_packed,
@@ -43,6 +44,34 @@ def duplicated_instance(d, n, copies, seed):
     vectors = perturbed_instance(d, n, 1e-2, seed).vectors.copy()
     vectors[1 : copies + 1] = vectors[0]
     return Frame(vectors)
+
+
+def degenerate_workload(seed):
+    """The 29 (frame, seed) inputs of the benchmark's ``degenerate`` workload at ``seed``.
+
+    Harmonic ENPFs perturbed to eps, or with v_0 scaled; the last three
+    have the fixed seed 0, so they are the same at every ``seed``.
+    """
+    harmonic = [(d, k * d) for d in (3, 4, 5, 6) for k in (2, 3)]
+    odd = [(d, n) for d, n in harmonic if d % 2]
+    scaled = [(3, 6), (3, 9), (4, 8), (5, 10), (5, 15)]
+    specs = (
+        [(d, n, 1e-2, None) for d, n in harmonic]
+        + [(d, n, eps, None) for eps in (1e-5, 1e-7) for d, n in odd]
+        + [(d, n, None, scale) for scale in (0.8, 0.97) for d, n in scaled]
+    )
+    fixed = [(4, 12, None, 0.8), (6, 12, None, 0.97), (4, 12, 1e-7, None)]
+    inputs = []
+    for k, (d, n, eps, scale) in enumerate(specs + fixed):
+        s = 0 if k >= len(specs) else int(np.random.SeedSequence(seed, spawn_key=(k,)).generate_state(1)[0])
+        enpf = generate_enpf(d, n, s)
+        if eps is not None:
+            inputs.append((perturb_frame(enpf, eps, s), s))
+        else:
+            vectors = enpf.vectors.copy()
+            vectors[0] *= scale
+            inputs.append((Frame(vectors), s))
+    return inputs
 
 
 def test_public_api_exports_pipeline():
@@ -75,14 +104,48 @@ class TestPerturbToGeneralPosition:
             perturb_to_general_position(base, 0.0, seed=0)
 
     def test_past_cap_returned_unchecked(self, monkeypatch):
-        def unaffordable(frame):
-            raise AssertionError("d-subsets checked past FULL_CHECK_CAP")
+        # every subset check the gate imports, the fragile pass included
+        def unaffordable(*args):
+            raise AssertionError("d-subsets checked past SUBSET_CAP")
 
-        monkeypatch.setattr(importlib.import_module("framescale.repair"),
-                            "all_d_subsets_independent", unaffordable)
+        module = importlib.import_module("framescale.repair")
+        checks = [name for name, value in vars(module).items()
+                  if callable(value) and getattr(value, "__module__", None) == "framescale.polytope"]
+        assert {"all_d_subsets_independent", "_fragile_subsets"} <= set(checks)
+        for name in checks:
+            monkeypatch.setattr(module, name, unaffordable)
         frame = renormalize(duplicated_instance(10, 40, 2, seed=0), 10 / 40)
-        out = perturb_to_general_position(frame, 0.0, 0)
-        assert out is frame
+        for eta_max in (0.0, 1e-6):
+            assert perturb_to_general_position(frame, eta_max, 0) is frame
+
+    @pytest.mark.parametrize("family", ["degenerate", "even_d_eps_1e-5"])
+    def test_matches_full_checks(self, family):
+        # the benchmark's degenerate inputs at seeds 0 and 11, and the even-d
+        # harmonic frames at eps = 1e-5 that the gate rejects on some seeds
+        if family == "degenerate":
+            inputs = degenerate_workload(0) + degenerate_workload(11)[:-3]
+        else:
+            inputs = [(perturb_frame(generate_enpf(d, n, s), 1e-5, s), s)
+                      for d, n in [(6, 12), (4, 12), (4, 8)] for s in range(20)]
+            inputs += [(perturb_frame(generate_enpf(6, 18, s), 1e-5, s), s) for s in (1, 2)]
+        outcomes = []
+        for frame, seed in inputs:
+            d, n = frame.d, frame.n
+            U = renormalize(frame, d / n)
+            eta_max = _eta_max(frame_metrics(frame).eps, d, n)
+            try:
+                expected = general_position_by_full_checks(U, eta_max, seed)
+            except RuntimeError as exc:
+                with pytest.raises(RuntimeError) as info:
+                    perturb_to_general_position(U, eta_max, seed)
+                assert str(info.value) == str(exc)
+                outcomes.append("raised")
+            else:
+                out = perturb_to_general_position(U, eta_max, seed)
+                assert out.vectors.tobytes() == expected.vectors.tobytes()
+                outcomes.append("kept" if out is U else "moved")
+        # at eps = 1e-5 no retry succeeds: each input passes as it is, or raises
+        assert set(outcomes) == {"raised", "kept"} | ({"moved"} if family == "degenerate" else set())
 
     @pytest.mark.parametrize("degenerate", [True, False])
     def test_negative_seed_rejected(self, degenerate):
