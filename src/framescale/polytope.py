@@ -38,6 +38,35 @@ every such move, the rounding of S + E included; ``_fragile_subsets``
 keeps the others, and ``_subsets_independent`` checks only those. At
 eta = 0 the bound is rho.
 
+When 2d <= n and there are more than ``_STACK_LOOP_MAX`` subsets,
+``all_d_subsets_independent`` takes every det S from one Laplace
+recurrence instead of one LU per subset. Level k lists the k-subsets of
+range(n) in colex order with their minors on columns 0..k-1: those with
+largest element m are T u {m} for the first C(m, k-1) subsets T of level
+k-1, at rank C(m, k) + rank(T). Expanding along column k-1,
+
+    M_k(S) = sum_j (-1)^(j+k-1) U[s_j, k-1] M_{k-1}(S - s_j),
+
+where S - m = T and, for j < k-1, S - s_j has rank C(m, k-1) plus the
+rank of T - t_j, which level k-1 keeps; so is ||S||_F^2 = ||T||_F^2 +
+||u_m||^2. That is k multiply-adds per subset against d^3/3 for an LU.
+Each term of the expansion passes through fewer than d(d+1)/2 roundings,
+and perm(|S|) <= ||S||_2^d <= ||S||_F^d, so the computed minor is within
+the allowance d(d+1)/2 u ||S||_F^d of det S (u = 2^-53). The screen adds
+it to its floor on |det S| / ||S||_F^d, less than 1 % of that floor,
+since d <= 10 under ``SUBSET_CAP``. U is scaled first by a power of two
+that takes every entry below 1, so no product overflows, and ``_TINY``
+covers what underflow can lose. One rule, ``_colex_rows``, builds every
+level in chunks of ``_SUBSET_BATCH`` rows. Levels below d are filled
+whole: int32 elements and drop ranks, minors and norms, 8k + 16 bytes per
+k-subset, each level freed once the next is built. Level d is never
+kept, and the SVD decides each chunk's uncleared subsets before the next
+chunk is built. One check peaks near 0.85 MB at (6,18) and 24 MB at
+(10,20) (tracemalloc). Two cases keep the stack loop: with 2d > n the
+lower levels outgrow level d, toward n 2^n entries, and up to
+``_STACK_LOOP_MAX`` subsets the recurrence's fixed cost per level is more
+than one ``slogdet`` per subset.
+
 These tests certify hypotheses of downstream solvers, so they refuse
 oversized instances instead of approximating.
 """
@@ -49,7 +78,7 @@ from itertools import chain, combinations, islice
 
 import numpy as np
 
-from .frames import Frame
+from .frames import Frame, _row_sq_norms
 
 # Relative singular-value threshold for numerical rank. The repair
 # pipeline's general-position perturbations are at most 10 * RANK_RTOL
@@ -70,6 +99,11 @@ SUBSET_CAP = 200_000
 _SUBSET_BATCH = 1024
 _SCREEN_MARGIN = 16.0
 _TINY = np.finfo(float).tiny
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
+# Up to this many d-subsets one slogdet per subset is faster than the
+# minors' recurrence, whose cost per level is mostly fixed: the two break
+# even near 350 subsets at every d from 2 to 5 (OpenBLAS on 1 thread).
+_STACK_LOOP_MAX = 350
 
 
 def numerical_rank(vectors: np.ndarray) -> int:
@@ -144,15 +178,96 @@ def _screen(stacked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.slogdet(stacked)[1] - stacked.shape[-1] / 2 * np.log(sq_norms), sq_norms
 
 
+def _rank_d(stacked: np.ndarray) -> bool:
+    """True iff every d x d stack has sigma_min > ``RANK_RTOL`` * sigma_max."""
+    if stacked.size == 0:
+        return True
+    sigma = np.linalg.svd(stacked, compute_uv=False)
+    return bool(np.all(sigma[:, -1] > RANK_RTOL * sigma[:, 0]))
+
+
 def _independent(stacked: np.ndarray) -> bool:
     """True iff every stack has rank d: the screen clears what it can, and
     the singular-value test decides the rest, rows in subset order."""
     log_floor = math.log(_SCREEN_MARGIN * RANK_RTOL) - _am_gm(stacked.shape[-1])
-    doubtful = stacked[~(_screen(stacked)[0] > log_floor)]
-    if doubtful.size == 0:
-        return True
-    sigma = np.linalg.svd(doubtful, compute_uv=False)
-    return bool(np.all(sigma[:, -1] > RANK_RTOL * sigma[:, 0]))
+    return _rank_d(stacked[~(_screen(stacked)[0] > log_floor)])
+
+
+def _colex_rows(level, col, weights, starts, signs, a: int, b: int):
+    """Rows a to b - 1 of level k of the recurrence, from all of level k - 1.
+
+    ``level`` holds level k - 1 as (elems, drops, minors, norms), col is
+    column k - 1 of the vectors and starts[g] = C(g + k - 1, k), the rank
+    of the first k-subset whose largest element is m = g + k - 1. Returns
+    the same four arrays for those rows of level k.
+    """
+    elems, drops, minors, norms = level
+    k = elems.shape[1] + 1
+    rows = np.arange(a, b)
+    group = np.searchsorted(starts, rows, "right") - 1
+    tau = rows - np.take(starts, group)
+    lasts = group + (k - 1)
+    row_elems = np.empty((b - a, k), np.int32)
+    row_elems[:, :-1] = np.take(elems, tau, axis=0)
+    row_elems[:, -1] = lasts
+    # S - s_j is (T - t_j) u {m}, whose rank is C(m, k - 1) = starts[g + 1]
+    # - starts[g] plus that of T - t_j; S - m = T has rank tau
+    row_drops = np.empty((b - a, k), np.int32)
+    np.add(np.take(drops, tau, axis=0), np.take(np.diff(starts), group)[:, None], out=row_drops[:, :-1])
+    row_drops[:, -1] = tau
+    terms = np.take(col, row_elems)
+    terms *= np.take(minors, row_drops)
+    return row_elems, row_drops, terms @ signs, np.take(norms, tau) + np.take(weights, lasts)
+
+
+def _colex_minors(vecs: np.ndarray, weights: np.ndarray):
+    """Every d x d minor of the (n, d) array vecs, by the Laplace recurrence.
+
+    Yields (elems, drops, minors, sums) for each chunk of at most
+    ``_SUBSET_BATCH`` d-subsets in colex order (see the module docstring):
+    elems[i] is subset i of the chunk as an int32 row, minors[i] is
+    det vecs[elems[i]] and sums[i] is the sum of weights over the subset.
+    Each level below d is filled chunk by chunk and replaces the one
+    before it.
+    """
+    n, d = vecs.shape
+    # Level 0 holds the empty set, whose minor is 1.
+    level = np.zeros((1, 0), np.int32), np.zeros((1, 0), np.int32), np.ones(1), np.zeros(1)
+    for k in range(1, d + 1):
+        count = math.comb(n, k)
+        starts = np.array([math.comb(m, k) for m in range(k - 1, n + 1)])
+        signs = (-1.0) ** np.arange(k - 1, -1, -1)
+        whole = None
+        if k < d:
+            elems = np.empty((count, k), np.int32)
+            whole = elems, np.empty_like(elems), np.empty(count), np.empty(count)
+        for a in range(0, count, _SUBSET_BATCH):
+            b = min(a + _SUBSET_BATCH, count)
+            rows = _colex_rows(level, vecs[:, k - 1], weights, starts, signs, a, b)
+            if whole is None:
+                yield rows
+            else:
+                for array, part in zip(whole, rows):
+                    array[a:b] = part
+        level = whole
+
+
+def _minors_independent(vecs: np.ndarray) -> bool:
+    """True iff every d-subset of the rows has rank d, screened on the
+    recurrence's minors with its rounding allowance (see the module
+    docstring); the SVD decides each chunk's uncleared subsets in order."""
+    d = vecs.shape[1]
+    scaled = np.ldexp(vecs, -np.frexp(np.abs(vecs).max())[1])
+    floor = math.exp(math.log(_SCREEN_MARGIN * RANK_RTOL) - _am_gm(d)) + d * (d + 1) / 2 * _UNIT_ROUNDOFF
+    # With these weights, (sum over S)^d = floor^2 ||S||_F^(2d).
+    weights = floor ** (2 / d) * _row_sq_norms(scaled)
+    for elems, _, minors, sums in _colex_minors(scaled, weights):
+        np.power(sums, d, out=sums)
+        sums += _TINY
+        doubtful = ~(minors * minors > sums)
+        if doubtful.any() and not _rank_d(vecs[elems[doubtful]]):
+            return False
+    return True
 
 
 def all_d_subsets_independent(frame: Frame) -> bool:
@@ -161,7 +276,13 @@ def all_d_subsets_independent(frame: Frame) -> bool:
     Each batch of ``_SUBSET_BATCH`` subsets gets the screen and then the
     singular-value test on what the screen cannot clear (see the module
     docstring), with early exit on the first failing batch; instances with
-    more than ``SUBSET_CAP`` subsets are refused.
+    more than ``SUBSET_CAP`` subsets are refused. When 2d <= n and there
+    are more than ``_STACK_LOOP_MAX`` subsets, the screen reads every
+    determinant off one Laplace recurrence over the subsets in colex
+    order, lowered by its rounding allowance; levels below d are held
+    whole (8k + 16 bytes per k-subset) and level d a batch at a time.
+    Otherwise each batch of d x d stacks, in lexicographic order, gets its
+    own ``slogdet``.
     """
     d, n = frame.d, frame.n
     if n < d:
@@ -170,6 +291,8 @@ def all_d_subsets_independent(frame: Frame) -> bool:
     if count > SUBSET_CAP:
         raise ValueError(f"C({n},{d}) = {count} exceeds the cap of {SUBSET_CAP} subsets")
     vecs = frame.vectors
+    if 2 * d <= n and count > _STACK_LOOP_MAX:
+        return _minors_independent(vecs)
     return all(_independent(vecs[index]) for index in _d_subsets(n, d))
 
 

@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -13,7 +14,16 @@ from framescale import (
     perturb_frame,
     renormalize,
 )
-from framescale.polytope import RANK_RTOL, _SCREEN_MARGIN, _fragile_subsets
+from framescale import polytope
+from framescale.polytope import (
+    RANK_RTOL,
+    SUBSET_CAP,
+    _SCREEN_MARGIN,
+    _STACK_LOOP_MAX,
+    _UNIT_ROUNDOFF,
+    _colex_minors,
+    _fragile_subsets,
+)
 
 from helpers import (
     planted_frame,
@@ -84,6 +94,24 @@ class TestAllDSubsets:
             warnings.simplefilter("error")
             assert not all_d_subsets_independent(frame)
 
+    @pytest.mark.parametrize("scale", [1e-170, 1e150, None], ids=["tiny", "huge", "mixed"])
+    def test_recurrence_shapes_at_extreme_magnitudes(self, scale):
+        # products of d entries near 1e-170 underflow and near 1e150 overflow,
+        # where slogdet's logs did not; a frame that mixes both has every
+        # subset across them dependent. Verdicts must follow the SVD, silently.
+        rng = np.random.default_rng(30)
+        for d, n in [(3, 20), (5, 15), (6, 18)]:
+            generic = rng.standard_normal((n, d))
+            dependent = generic.copy()
+            dependent[-1] = dependent[0] - 2.0 * dependent[1]
+            scales = np.where(np.arange(n) % 2, 1e-170, 1e150) if scale is None else np.full(n, scale)
+            for vecs, independent in [(generic, scale is not None), (dependent, False)]:
+                frame = Frame(vecs * scales[:, None])
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    verdict = all_d_subsets_independent(frame)
+                assert verdict == independent == subsets_independent_by_svd(frame), (d, n)
+
     def test_agrees_with_svd_oracle(self):
         # planted subsets with sigma_min / sigma_max log-uniform in
         # [1e-13, 1e-6], and harmonic ENPFs (dependent subsets) plus noise
@@ -104,6 +132,15 @@ class TestAllDSubsets:
                 noise = 10.0 ** rng.uniform(-13.0, -6.0)
                 vecs = generate_enpf(d, n, seed).vectors
                 frames.append(Frame(vecs + noise * rng.standard_normal((n, d))))
+        # the same planted subsets at shapes that take the minors' recurrence
+        for d, n in [(5, 15), (6, 18), (3, 60)]:
+            for _ in range(2):
+                vecs = rng.standard_normal((n, d))
+                rows = rng.choice(n, size=d, replace=False)
+                u, s, vt = np.linalg.svd(vecs[rows])
+                s[-1] = s[0] * 10.0 ** rng.uniform(-10.0, -8.0)
+                vecs[rows] = (u * s) @ vt
+                frames.append(Frame(vecs))
         verdicts = [subsets_independent_by_svd(frame) for frame in frames]
         assert [all_d_subsets_independent(frame) for frame in frames] == verdicts
         assert 0 < sum(verdicts) < len(verdicts)
@@ -122,6 +159,96 @@ class TestAllDSubsets:
         assert calls == []
         assert not all_d_subsets_independent(PARALLEL)
         assert calls
+
+
+def exact_det(S: np.ndarray) -> Fraction:
+    """det S in rationals, by elimination on the exact values of the entries."""
+    rows = [[Fraction(x) for x in row] for row in S.tolist()]
+    det = Fraction(1)
+    for c in range(len(rows)):
+        pivot = next((r for r in range(c, len(rows)) if rows[r][c]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            rows[c], rows[pivot], det = rows[pivot], rows[c], -det
+        det *= rows[c][c]
+        for r in range(c + 1, len(rows)):
+            factor = rows[r][c] / rows[c][c]
+            rows[r] = [a - factor * b for a, b in zip(rows[r], rows[c])]
+    return det
+
+
+def colex_minors(vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every d-subset in the kernel's order, as a (k, d) array, and its minor."""
+    chunks = list(_colex_minors(vecs, np.zeros(len(vecs))))
+    return np.concatenate([elems for elems, _, _, _ in chunks]), np.concatenate([minors for _, _, minors, _ in chunks])
+
+
+class TestColexMinors:
+    SHAPES = [(d, n) for d in range(1, 7) for n in range(2 * d, 3 * d + 2)]
+
+    @pytest.mark.parametrize("d,n", SHAPES)
+    def test_colex_order_and_exact_on_integers(self, d, n):
+        # on small integers every product and sum is exact, so each minor
+        # must equal the determinant that np.linalg.det rounds to
+        vecs = np.random.default_rng([31, d, n]).integers(-3, 4, (n, d)).astype(float)
+        subsets, minors = colex_minors(vecs)
+        assert [tuple(s) for s in subsets] == sorted(combinations(range(n), d), key=lambda s: s[::-1])
+        assert np.array_equal(minors, np.round(np.linalg.det(vecs[subsets])))
+
+    @pytest.mark.parametrize("d,n", SHAPES)
+    def test_minors_within_the_rounding_allowance(self, d, n):
+        # Gaussian rows over 30 decades of scale, on a sample of subsets,
+        # against the exact determinant of the stored entries (np.linalg.det
+        # takes exp of a log-determinant, whose own error exceeds the
+        # allowance at d = 1): d(d+1)/2 u ||S||_F^d must cover the error
+        rng = np.random.default_rng([32, d, n])
+        vecs = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-15.0, 15.0, (n, 1))
+        subsets, minors = colex_minors(vecs)
+        stacks = vecs[subsets]
+        allowance = d * (d + 1) / 2 * _UNIT_ROUNDOFF * np.linalg.norm(stacks, axis=(1, 2)) ** d
+        for i in rng.choice(len(subsets), size=min(len(subsets), 40), replace=False):
+            assert abs(Fraction(minors[i]) - exact_det(stacks[i])) <= Fraction(allowance[i]) * (1 + Fraction(1, 10**9))
+
+    def test_screen_sends_every_subset_at_or_below_its_floor_to_the_svd(self, monkeypatch):
+        # d x d stacks with sigma = (1, ..., 1, s) and s chosen so that rho
+        # lies 1e-12 to 1e-5 below _SCREEN_MARGIN * RANK_RTOL. There the
+        # recurrence's rounding can lift a computed minor over the floor, so
+        # without the allowance some of them would be cleared
+        sent = []
+        monkeypatch.setattr(polytope, "_rank_d", lambda stacked: sent.append(len(stacked)) or True)
+        rng = np.random.default_rng(33)
+        floor = _SCREEN_MARGIN * RANK_RTOL
+        below = 0
+        for d in range(2, 7):
+            for _ in range(40):
+                q1, q2 = (np.linalg.qr(rng.standard_normal((d, d)))[0] for _ in range(2))
+                sigma = np.ones(d)
+                sigma[-1] = floor * (1.0 - 10.0 ** rng.uniform(-12.0, -5.0)) * math.sqrt(d - 1)
+                S = (q1 * sigma) @ q2.T * 10.0 ** rng.uniform(-3.0, 3.0)
+                rho_sq = exact_det(S) ** 2 * (d - 1) ** (d - 1) / sum(Fraction(x) ** 2 for x in S.ravel()) ** d
+                sent.clear()
+                polytope._minors_independent(S)
+                if rho_sq <= Fraction(floor) ** 2 * (1 - Fraction(1, 10**12)):
+                    below += 1
+                    assert sent == [1], (d, float(rho_sq))
+        assert below >= 150
+
+    def test_recurrence_only_where_2d_le_n_and_past_the_crossover(self, monkeypatch):
+        # up to _STACK_LOOP_MAX subsets the stack loop is faster, and with
+        # 2d > n the lower levels outgrow the top, e.g. at (14,15) and (8,12)
+        taken = []
+        monkeypatch.setattr(polytope, "_minors_independent", lambda vecs: taken.append(vecs.shape[::-1]) or True)
+        rng = np.random.default_rng(34)
+        shapes = [(d, n) for n in range(1, 17) for d in range(1, n + 1)]
+        shapes += [(14, 15), (8, 12), (7, 13), (2, 26), (2, 27), (3, 60), (1, 350), (1, 351)]
+        for d, n in shapes:
+            all_d_subsets_independent(Frame(rng.standard_normal((n, d))))
+        expected = [(d, n) for d, n in shapes if 2 * d <= n and math.comb(n, d) > _STACK_LOOP_MAX]
+        assert taken == expected
+        assert {(4, 12), (6, 12), (5, 15), (3, 14), (2, 27), (1, 351)} <= set(expected)
+        assert not {(14, 15), (8, 12), (8, 14), (7, 13), (5, 10), (4, 11), (2, 26), (1, 350)} & set(expected)
+        assert all(math.comb(n, d) <= SUBSET_CAP for d, n in shapes)
 
 
 def weyl_bound(S: np.ndarray, eta: float) -> float:
