@@ -29,7 +29,6 @@ from .repair import (
 from .scaling import (
     ScalingConvergenceError,
     ScalingSolution,
-    isotropy_residual,
     scaling_gradient,
     scaling_hessian,
     scaling_potential,
@@ -62,7 +61,6 @@ __all__ = [
     "reverify",
     "ScalingConvergenceError",
     "ScalingSolution",
-    "isotropy_residual",
     "scaling_gradient",
     "scaling_hessian",
     "scaling_potential",

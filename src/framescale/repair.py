@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,7 +51,6 @@ from .scaling import (
     DEFAULT_MAX_ITER,
     ScalingSolution,
     _images,
-    _isotropy_test,
     solve_radial_isotropic,
 )
 from .seeding import spawn_rng
@@ -112,30 +111,25 @@ class AuditRecord:
 
 @dataclass(frozen=True)
 class RepairReport:
-    """Everything produced and certified by one repair run.
+    """One repair run: its three frames, the scaling and the run parameters.
 
-    ``certified`` holds exactly when the input's eps is below 1/2, the
-    paper's range, the output distance meets the 20 eps d^2 bound, the
-    output frame meets the requested delta, and the solver converged; all
-    four are re-measured, never assumed.
+    Every number derived from them (eps, eps_op and eps_norm of V, the
+    three distances, the 20 eps d^2 bound, the output's eps and the
+    verdict) is measured from the frames on its first read and cached on
+    the report object; a report built by ``dataclasses.replace`` measures
+    afresh. ``certified`` holds exactly when the input's eps is below 1/2,
+    the paper's range, the output distance meets the bound, the output
+    frame meets the requested delta, and ``scaling.converged``, which the
+    solver measured or ``read_report`` measured on the stored U, t and A.
     """
 
     input_frame: Frame
     perturbed_frame: Frame
     output_frame: Frame
-    eps: float
-    eps_op: float
-    eps_norm: float
-    dist_sq_vw: float
-    dist_sq_vu: float
-    dist_sq_uw: float
-    bound: float
     scaling: ScalingSolution
     delta: float
     delta_solver: float
     seed: int
-    output_eps: float
-    certified: bool
 
     @property
     def d(self) -> int:
@@ -144,6 +138,51 @@ class RepairReport:
     @property
     def n(self) -> int:
         return self.input_frame.n
+
+    @functools.cached_property
+    def _input_metrics(self) -> FrameMetrics:
+        return frame_metrics(self.input_frame)
+
+    @functools.cached_property
+    def eps(self) -> float:
+        return self._input_metrics.eps
+
+    @functools.cached_property
+    def eps_op(self) -> float:
+        return self._input_metrics.eps_op
+
+    @functools.cached_property
+    def eps_norm(self) -> float:
+        return self._input_metrics.eps_norm
+
+    @functools.cached_property
+    def dist_sq_vw(self) -> float:
+        return dist_sq(self.input_frame, self.output_frame)
+
+    @functools.cached_property
+    def dist_sq_vu(self) -> float:
+        return dist_sq(self.input_frame, self.perturbed_frame)
+
+    @functools.cached_property
+    def dist_sq_uw(self) -> float:
+        return dist_sq(self.perturbed_frame, self.output_frame)
+
+    @functools.cached_property
+    def bound(self) -> float:
+        return 20.0 * self.eps * self.d * self.d
+
+    @functools.cached_property
+    def output_eps(self) -> float:
+        return frame_metrics(self.output_frame).eps
+
+    @functools.cached_property
+    def certified(self) -> bool:
+        return bool(
+            self.eps < EPS_INPUT_MAX
+            and self.dist_sq_vw <= self.bound
+            and self.output_eps <= self.delta
+            and self.scaling.converged
+        )
 
     @functools.cached_property
     def gamma_prime_effective(self) -> float:
@@ -223,72 +262,19 @@ def repair(
     solution = solve_radial_isotropic(perturbed, delta_solver, max_iter=max_iter)
     images = _images(perturbed, solution.A)
     output = renormalize(Frame(images), d / n)
-    return _certify(frame, metrics, perturbed, output, solution, delta, delta_solver, seed)
+    report = RepairReport(frame, perturbed, output, solution, delta, delta_solver, seed)
+    # The range check has measured V; the report's cache takes that measurement.
+    report.__dict__["_input_metrics"] = metrics
+    return report
 
 
 def reverify(stored: RepairReport) -> RepairReport:
-    """Rebuild a report from its frames and scaling alone.
+    """Return ``stored``: a report measures its verdict from its own frames.
 
-    Every metric, distance, residual and the certification verdict are
-    recomputed; only the raw frames, the transformation, and the run
-    parameters (delta, delta_solver, seed) are taken from the stored report.
+    Kept for one release for callers written when reports stored their
+    derived numbers; ``read_report`` measures the stored scaling itself.
     """
-    V, U, A = stored.input_frame, stored.perturbed_frame, stored.scaling.A
-    _, resid, gap, converged = _isotropy_test(
-        _images(U, A), V.d / V.n, stored.scaling.t, stored.delta_solver
-    )
-    scaling = replace(stored.scaling, residual_inf=resid, converged=converged, stationarity_gap=gap)
-    return _certify(
-        V,
-        frame_metrics(V),
-        U,
-        stored.output_frame,
-        scaling,
-        stored.delta,
-        stored.delta_solver,
-        stored.seed,
-    )
-
-
-def _certify(
-    V: Frame,
-    metrics: FrameMetrics,
-    U: Frame,
-    W: Frame,
-    scaling: ScalingSolution,
-    delta: float,
-    delta_solver: float,
-    seed: int,
-) -> RepairReport:
-    """The report on input V, perturbed U and output W, with its verdict.
-
-    ``metrics`` are those of V. Every distance, the bound and the
-    nearness of W are measured here; the verdict also needs
-    ``scaling.converged``, which the caller has measured.
-    """
-    dvw = dist_sq(V, W)
-    bound = 20.0 * metrics.eps * V.d * V.d
-    output_eps = frame_metrics(W).eps
-    return RepairReport(
-        input_frame=V,
-        perturbed_frame=U,
-        output_frame=W,
-        eps=metrics.eps,
-        eps_op=metrics.eps_op,
-        eps_norm=metrics.eps_norm,
-        dist_sq_vw=dvw,
-        dist_sq_vu=dist_sq(V, U),
-        dist_sq_uw=dist_sq(U, W),
-        bound=bound,
-        scaling=scaling,
-        delta=delta,
-        delta_solver=delta_solver,
-        seed=seed,
-        output_eps=output_eps,
-        certified=bool(
-            metrics.eps < EPS_INPUT_MAX and dvw <= bound and output_eps <= delta and scaling.converged
-        ),
-    )
+    return stored
 
 
 def audit_lemma_chain(report: RepairReport) -> AuditRecord:
@@ -313,13 +299,9 @@ def audit_lemma_chain(report: RepairReport) -> AuditRecord:
           dist^2(U, W) <= 8 eps d^2 + 4 gamma' d^2, and the certified
           dist^2(V, W) <= 20 eps d^2.
 
-    gamma' = eps_norm(U) is measured from the report's perturbed frame,
-    never read from a stored value, so the audit of a report loaded from
-    disk uses the gamma' of its own U. The eps of (d) and (f), the bound
-    and the three distances of (f) are taken from the report as they
-    stand, so a report loaded from disk must go through ``reverify``
-    first, as ``framescale audit`` does. On its own, this audit passes a
-    report that stores U and whose input vectors were negated on disk.
+    gamma', the eps of (d) and (f), the bound and the three distances of
+    (f) are the report's own measurements of its frames, never stored
+    values, so the audit of a report loaded from disk is sound on its own.
 
     The per-vector statements (a) and (b) are evaluated over all n vectors
     at once, with the same per-vector slack and transport as ``majorizes``

@@ -26,8 +26,8 @@ takes the symmetric A = M(t)^{-1/2} from ``eigh`` and the rows U A^T (row
 i is A u_i), only where the solver may return the iterate. A failed M(t)
 has one wording: LinAlgError, also a ValueError, "weighted sum M(t)
 overflowed" or "weighted sum M(t) is singular". ``_images`` forms U A^T
-from a given A for ``repair`` and ``reverify``, so a re-check reproduces
-the solver's residual and stationarity gap bit for bit.
+from a given A for ``repair`` and ``read_report``, so a stored report
+reproduces the solver's residual and stationarity gap bit for bit.
 
 Everything the solver needs comes from the whitened rows Y. Their Gram
 matrix G = Y Y^T, the same for L^{-1} as for any square root of M(t)^{-1},
@@ -48,8 +48,8 @@ The solver is damped Newton with an Armijo backtracking line search and a
 gradient-descent fallback; convergence is declared only after the residual
 J = c sum_i w_i w_i^T - I of the renormalized scaled frame has been
 recomputed and its largest entry checked against the requested delta.
-That test lives in ``_isotropy_test``, which also re-checks the stored
-scaling of a report in ``reverify``.
+That test lives in ``_isotropy_test``, which also measures the stored
+scaling of a report in ``read_report``.
 """
 
 from __future__ import annotations
@@ -81,8 +81,9 @@ class ScalingSolution:
 
     ``residual_inf`` is the largest entry, in absolute value, of
     J = (d/n) sum_i w_i w_i^T - I for the renormalized vectors
-    w_i = A u_i / ||A u_i||, measured at the returned iterate;
-    ``isotropy_residual`` returns J itself.
+    w_i = A u_i / ||A u_i||, measured at the returned iterate. A report
+    read from disk measures it, the stationarity gap and ``converged``
+    afresh from its stored U, t and A.
     """
 
     t: np.ndarray
@@ -225,16 +226,6 @@ def _images(frame: Frame, A) -> np.ndarray:
     if dead.size:
         raise ValueError(f"A u_i = 0 at index {dead[0]}; A is singular on the frame")
     return images
-
-
-def isotropy_residual(frame: Frame, A) -> tuple[np.ndarray, float]:
-    """Residual J = (d/n) sum_i w_i w_i^T - I for w_i = A u_i / ||A u_i||.
-
-    Returns (J, max |J_ij|). Raises if some A u_i vanishes (A singular on
-    a frame vector), since renormalization is then undefined.
-    """
-    J, resid, _, _ = _isotropy_test(_images(frame, A), frame.d / frame.n, np.zeros(frame.n), 0.0)
-    return J, resid
 
 
 def _newton_direction(Y: np.ndarray, q: np.ndarray, g: np.ndarray) -> np.ndarray:

@@ -26,24 +26,28 @@ with that call, bit-equal wherever numpy rounds the row norms as the
 writer's did. The output frame stays a nested float list, which the
 benchmark's tamper check edits as a list; ``write_report`` encodes it
 straight from its array, and orjson prints each element as it prints the
-float, so the bytes equal those of ``report_to_dict``'s nested list. The
-top-level ``gamma_prime_effective`` is eps_norm(U), written for human
-readers; ``read_report`` ignores it.
+float, so the bytes equal those of ``report_to_dict``'s nested list.
+
+A report is its arrays and run parameters. The numbers derived from
+them (eps, eps_op, eps_norm, the three distances, the bound,
+``output_eps``, ``certified`` and ``gamma_prime_effective``) are written
+for human readers, and ``read_report`` ignores them: the loaded report
+measures each from its frames. The scaling's ``residual_inf``,
+``stationarity_gap`` and ``converged`` are measured on read as well, by
+the solver's convergence test on the stored U, t and A, which reproduces
+the solver's numbers bit for bit; a stored A that maps some u_i to zero
+raises ValueError. An infinite residual or gap is written as ``null``.
 
 ``read_report`` also loads ``framescale/3`` (base64 in place of hex, U
 always stored), ``framescale/2`` (``/3`` plus a ``budget`` block, which
 is ignored) and ``framescale/1`` (every array a nested list). Whitespace
 between tokens is part of no schema; inside a packed field it is damage.
-A report stores the largest isotropy residual entry, not J; ``reverify``
-recomputes it.
 A report is malformed, and ``read_report`` raises a ValueError starting
 ``malformed report:``, when a packed field does not decode to its shape,
 ``scaling.t`` or ``scaling.A`` is not finite, ``delta`` or
 ``delta_solver`` is not positive and finite, ``certified`` or
 ``scaling.converged`` is not a JSON boolean, or a stored frame disagrees
-with the top-level ``d`` and ``n``. An infinite
-``scaling.residual_inf`` or ``scaling.stationarity_gap`` is written as
-``null`` and reads back as inf.
+with the top-level ``d`` and ``n``.
 
 Every file the package writes goes through one writer, ``_write_file``:
 reports, frames, and the CLI's ``--output`` files. It overwrites an
@@ -74,7 +78,7 @@ import orjson
 
 from .frames import Frame, FrameMetrics, _row_sq_norms, _rows_scaled, renormalize
 from .repair import AuditRecord, RepairReport
-from .scaling import ScalingSolution
+from .scaling import ScalingSolution, _images, _isotropy_test
 
 REPORT_SCHEMA = "framescale/4"
 _SCHEMA_V3 = "framescale/3"
@@ -258,23 +262,18 @@ def _scaling_to_dict(solution: ScalingSolution, encode=_pack) -> dict:
     }
 
 
-def _float_or_inf(value) -> float:
-    """A stored float; JSON ``null``, which is how an infinite value is written, reads as inf."""
-    return math.inf if value is None else float(value)
-
-
-def _flag(data: dict, key: str, field: str) -> bool:
-    """A stored JSON boolean; anything else, such as the string "no", is malformed."""
+def _require_flag(data: dict, key: str, field: str) -> None:
+    """ValueError unless the stored flag is a JSON boolean; the string "no", say, is malformed."""
     value = data[key]
     if not isinstance(value, bool):
         raise ValueError(f"malformed report: {field} {value!r} is not a boolean")
-    return value
 
 
-def _scaling_from_dict(data: dict, n: int, schema: str) -> ScalingSolution:
+def _scaling_from_dict(data: dict, U: Frame, schema: str, delta_solver: float) -> ScalingSolution:
+    """The stored t, A and iteration count, with the solver's convergence test measured on U."""
     d = int(data["d"])
     if schema != _SCHEMA_V1:
-        t = _unpack(data["t"], (n,), "scaling.t", schema)
+        t = _unpack(data["t"], (U.n,), "scaling.t", schema)
         A = _unpack(data["A"], (d, d), "scaling.A", schema)
     else:
         t = np.array(data["t"], dtype=float)
@@ -282,14 +281,9 @@ def _scaling_from_dict(data: dict, n: int, schema: str) -> ScalingSolution:
     for name, array in (("t", t), ("A", A)):
         if not np.isfinite(array).all():
             raise ValueError(f"malformed report: scaling.{name} holds a non-finite value")
-    return ScalingSolution(
-        t=t,
-        A=A,
-        residual_inf=_float_or_inf(data["residual_inf"]),
-        iterations=int(data["iterations"]),
-        converged=_flag(data, "converged", "scaling.converged"),
-        stationarity_gap=_float_or_inf(data.get("stationarity_gap", 0.0)),
-    )
+    _require_flag(data, "converged", "scaling.converged")
+    _, resid, gap, converged = _isotropy_test(_images(U, A), U.d / U.n, t, delta_solver)
+    return ScalingSolution(t, A, resid, int(data["iterations"]), converged, gap)
 
 
 def audit_to_dict(audit: AuditRecord) -> dict:
@@ -363,7 +357,9 @@ def _report_to_dict(report: RepairReport, audit: AuditRecord | None, encode_outp
 def report_from_dict(data: dict) -> RepairReport:
     """Rebuild a report from a ``framescale/4``, ``/3``, ``/2`` or ``/1`` dict.
 
-    A missing key or a value of the wrong type raises ValueError.
+    Only the arrays, the run parameters and the iteration count are read;
+    every derived number is measured. A missing key or a value of the
+    wrong type raises ValueError.
     """
     try:
         return _report_from_dict(data)
@@ -405,23 +401,17 @@ def _report_from_dict(data: dict) -> RepairReport:
             raise ValueError(
                 f"malformed report: frames.{name} has d={frame.d}, n={frame.n}, not d={d}, n={n}"
             )
+    # The stored verdict must be well formed, though the report measures its own.
+    _require_flag(data, "certified", "certified")
+    delta_solver = float(data["delta_solver"])
     return RepairReport(
         input_frame=input_frame,
         perturbed_frame=perturbed_frame,
         output_frame=output_frame,
-        eps=float(data["eps"]),
-        eps_op=float(data["eps_op"]),
-        eps_norm=float(data["eps_norm"]),
-        dist_sq_vw=float(data["distances"]["vw"]),
-        dist_sq_vu=float(data["distances"]["vu"]),
-        dist_sq_uw=float(data["distances"]["uw"]),
-        bound=float(data["bound"]),
-        scaling=_scaling_from_dict(data["scaling"], n, schema),
+        scaling=_scaling_from_dict(data["scaling"], perturbed_frame, schema, delta_solver),
         delta=float(data["delta"]),
-        delta_solver=float(data["delta_solver"]),
+        delta_solver=delta_solver,
         seed=seed,
-        output_eps=float(data["output_eps"]),
-        certified=_flag(data, "certified", "certified"),
     )
 
 

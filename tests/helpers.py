@@ -27,6 +27,7 @@ from framescale.frames import _row_sq_norms
 from framescale.majorization import MAJORIZATION_TOL
 from framescale.polytope import RANK_RTOL, SUBSET_CAP, numerical_rank
 from framescale.repair import _AUDIT_ATOL, _RETRY_CAP
+from framescale.scaling import _images, _isotropy_test
 from framescale.seeding import spawn_rng
 
 
@@ -95,6 +96,16 @@ def run_with_file_size_limit(limit: int, statement: str, *args: str) -> subproce
         [sys.executable, "-c", program, *args],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120,
     )
+
+
+def isotropy_residual(frame: Frame, A) -> tuple[np.ndarray, float]:
+    """Residual J = (d/n) sum_i w_i w_i^T - I for w_i = A u_i / ||A u_i||, and max |J_ij|.
+
+    The solver's own convergence test on the rows A u_i; raises ValueError
+    where some A u_i vanishes, since renormalization is then undefined.
+    """
+    J, resid, _, _ = _isotropy_test(_images(frame, A), frame.d / frame.n, np.zeros(frame.n), 0.0)
+    return J, resid
 
 
 def cofactor_det(M: np.ndarray) -> float:

@@ -75,6 +75,27 @@ def test_audit_rejects_tampered_output(tmp_path, capsys):
     assert stderr_error(capsys)["type"] == "certification"
 
 
+def test_audit_ignores_a_flattering_stored_verdict(tmp_path, capsys):
+    # The stored verdict and distances are the file's claims; the audit measures its own.
+    report_path = repaired_report(tmp_path, "json")
+    data = json.loads(report_path.read_text())
+    vectors = np.array(data["frames"]["output"]["vectors"])
+    vectors[0] *= 1.5
+    data["frames"]["output"]["vectors"] = vectors.tolist()
+    data.update(certified=True, output_eps=0.0, distances={"vw": 0.0, "vu": 0.0, "uw": 0.0})
+    data["scaling"]["converged"] = True
+    report_path.write_text(json.dumps(data))
+    audit_path = tmp_path / "a.json"
+    capsys.readouterr()
+    assert main(["audit", "--input", str(report_path), "--output", str(audit_path)]) == EXIT_CERTIFICATION
+    assert stderr_error(capsys)["type"] == "certification"
+    payload = json.loads(audit_path.read_text())
+    assert payload["stored_certified"] is True
+    assert payload["certified"] is False
+    assert payload["verdict_matches_stored"] is False
+    assert payload["distances"]["vw"] > 0.0 and payload["output_eps"] > 0.0
+
+
 def set_stored_t0(report_path, value: float) -> None:
     """Overwrite t_0 in the packed ``scaling.t`` of a stored report."""
     data = json.loads(report_path.read_text())

@@ -37,7 +37,6 @@ PUBLIC_API = [
     "frame_metrics",
     "frame_operator",
     "generate_enpf",
-    "isotropy_residual",
     "majorizes",
     "numerical_rank",
     "perturb_frame",

@@ -14,7 +14,6 @@ from framescale import (
     dist_sq,
     frame_metrics,
     generate_enpf,
-    isotropy_residual,
     perturb_frame,
     perturb_to_general_position,
     renormalize,
@@ -23,16 +22,26 @@ from framescale import (
 )
 from framescale.frames import _eps_norm
 from framescale.repair import _eta_max
-from framescale.serialize import read_report, write_report
+from framescale.cli import EXIT_CONFIG, main
+from framescale.serialize import read_report, report_to_dict, write_report
 
 from helpers import (
     alternating_projections,
     audit_per_vector_oracle,
     general_position_by_full_checks,
+    isotropy_residual,
     mercedes_frame,
     read_packed,
     write_packed,
 )
+
+
+# Every number a report derives from its frames, and those its scaling measures.
+DERIVED = (
+    "eps", "eps_op", "eps_norm", "dist_sq_vw", "dist_sq_vu", "dist_sq_uw",
+    "bound", "output_eps", "certified", "gamma_prime_effective",
+)
+MEASURED = ("residual_inf", "stationarity_gap", "converged")
 
 
 def perturbed_instance(d, n, eps_target, seed):
@@ -376,6 +385,25 @@ class TestAuditChain:
         assert dataclasses.replace(report, perturbed_frame=moved).gamma_prime_effective == _eps_norm(moved)
         assert audit_lemma_chain(report).check("norm_rescaling_distance").rhs == 2.0 * gp
 
+    def test_derived_numbers_are_measured_once_per_report(self, monkeypatch):
+        module = importlib.import_module("framescale.repair")
+        measured = []
+        real = module.frame_metrics
+        monkeypatch.setattr(module, "frame_metrics", lambda frame: measured.append(frame) or real(frame))
+        frame = perturbed_instance(3, 7, 1e-2, seed=0)
+        report = repair(frame, 1e-9, seed=0)
+        values = {name: getattr(report, name) for name in DERIVED}
+        audit_lemma_chain(report)
+        report_to_dict(report)
+        # V by the range check, whose metrics the report keeps, and W once.
+        assert measured == [frame, report.output_frame]
+        assert {name: report.__dict__[name] for name in DERIVED} == values
+        moved = dataclasses.replace(report, output_frame=Frame(1.5 * report.output_frame.vectors))
+        assert not set(DERIVED) & moved.__dict__.keys()
+        assert not moved.certified
+        assert moved.output_eps == real(moved.output_frame).eps != report.output_eps
+        assert measured[2:] == [frame, moved.output_frame]
+
     def test_singular_transform_recorded_not_raised(self):
         report = repair(perturbed_instance(3, 7, 1e-2, seed=0), 1e-9, seed=0)
         A = report.scaling.A.copy()
@@ -403,7 +431,8 @@ class TestAuditChain:
                 scaling=dataclasses.replace(report.scaling, A=A),
             )
         )
-        assert [c.passed for c in audit.checks] == [False] * 5 + [True]
+        # (f) measures dist^2(U, W) of the moved U, 1.1, past its lemma bound 0.36.
+        assert [c.passed for c in audit.checks] == [False] * 6
 
     def test_lemma_bound_recorded(self):
         report = repair(perturbed_instance(3, 8, 1e-2, seed=10), 1e-9, seed=10)
@@ -413,27 +442,19 @@ class TestAuditChain:
 
 
 class TestReverify:
-    def test_matches_fresh_report(self):
-        frame = perturbed_instance(3, 9, 1e-2, seed=11)
-        report = repair(frame, 1e-9, seed=11)
-        fresh = reverify(report)
-        assert fresh.certified == report.certified
-        assert fresh.eps == pytest.approx(report.eps)
-        assert fresh.dist_sq_vw == pytest.approx(report.dist_sq_vw)
-        assert fresh.scaling.converged
-        # Frames, scalars and the solver's own numbers are bit-equal.
-        for f in dataclasses.fields(report):
-            value, again = getattr(report, f.name), getattr(fresh, f.name)
-            if isinstance(value, Frame):
-                np.testing.assert_array_equal(again.vectors, value.vectors, err_msg=f.name)
-            elif f.name != "scaling":
-                assert again == value, f.name
-        for f in dataclasses.fields(report.scaling):
-            value, again = getattr(report.scaling, f.name), getattr(fresh.scaling, f.name)
-            if isinstance(value, np.ndarray):
-                np.testing.assert_array_equal(again, value, err_msg=f.name)
-            else:
-                assert again == value, f.name
+    def test_matches_fresh_report(self, tmp_path, capsys):
+        # A report read back from its file measures every derived number and
+        # the scaling's verdict from the stored arrays, bit for bit as in memory.
+        report = repair(perturbed_instance(3, 9, 1e-2, seed=11), 1e-9, seed=11)
+        assert reverify(report) is report
+        path = tmp_path / "report.json"
+        write_report(path, report)
+        loaded = read_report(path)
+        assert loaded.certified is True
+        for obj, again, names in ((report, loaded, DERIVED), (report.scaling, loaded.scaling, MEASURED)):
+            for name in names:
+                value, measured = getattr(obj, name), getattr(again, name)
+                assert (type(measured), repr(measured)) == (type(value), repr(value)), name
         # A stored A with a zero last column maps a perturbed vector e_3 |u_0| to exactly 0.
         A = report.scaling.A.copy()
         A[:, -1] = 0.0
@@ -444,8 +465,11 @@ class TestReverify:
             perturbed_frame=Frame(vectors),
             scaling=dataclasses.replace(report.scaling, A=A),
         )
+        write_report(path, stored)
         with pytest.raises(ValueError, match="A u_i = 0 at index 0"):
-            reverify(stored)
+            read_report(path)
+        assert main(["audit", "--input", str(path)]) == EXIT_CONFIG
+        assert "A u_i = 0 at index 0" in capsys.readouterr().err
 
     # (3, 9) takes the low-rank Newton step and (6, 12) the dense one.
     @pytest.mark.parametrize("seed", range(5))

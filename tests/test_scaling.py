@@ -9,7 +9,6 @@ from framescale import (
     ScalingConvergenceError,
     basis_polytope_membership,
     generate_enpf,
-    isotropy_residual,
     numerical_rank,
     perturb_frame,
     scaling_gradient,
@@ -21,7 +20,7 @@ from framescale import (
 from framescale import scaling
 from framescale.polytope import _VIOLATION_TOL
 from framescale.scaling import _factor, _newton_direction, _whitened
-from helpers import cofactor_det, fd_gradient, planted_frame, random_generic_frame
+from helpers import cofactor_det, fd_gradient, isotropy_residual, planted_frame, random_generic_frame
 
 IDENTITY2 = Frame(np.eye(2))
 DEGENERATE = Frame(np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))

@@ -1,6 +1,9 @@
+import copy
 import dataclasses
+import importlib
 import json
 import os
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -335,6 +338,90 @@ def test_audit_measures_gamma_prime_of_a_stored_report(tmp_path, repaired, sourc
     assert not rescaling.passed
     assert rescaling.rhs == 2.0 * report.gamma_prime_effective
     assert loaded.gamma_prime_effective == report.gamma_prime_effective
+
+
+def written(tmp_path, data: dict, name: str = "report.json") -> Path:
+    path = tmp_path / name
+    path.write_bytes(encode_json(data, "report"))
+    return path
+
+
+def test_loaded_report_with_negated_input_fails_on_its_own(tmp_path):
+    # The gate moves U of the harmonic (4, 8) frame, so the report stores U,
+    # and negating V on disk leaves U and W as they were; no re-verification
+    # is needed for the loaded report to fail. With v_0 * 0.99, eps = 0.02
+    # and the bound is 6.4 against dist^2(-V, W) of about 4d = 16; the
+    # ``moved`` fixture's v_0 * 0.8 has eps = 0.36, whose bound of 115 covers it.
+    vectors = generate_enpf(4, 8, 0).vectors.copy()
+    vectors[0] *= 0.99
+    report = repair(Frame(vectors), 1e-9, seed=0)
+    data = report_to_dict(report, audit_lemma_chain(report))
+    assert "perturbed" in data["frames"]
+    packed = data["frames"]["input"]
+    packed["vectors"] = write_packed(-read_packed(packed["vectors"]))
+    loaded = read_report(written(tmp_path, data))
+    assert not loaded.certified
+    assert not audit_lemma_chain(loaded).check("composed_certified_bound").passed
+
+
+def test_loaded_report_with_tripled_input_is_not_certified(tmp_path, repaired):
+    report, audit = repaired
+    data = report_to_dict(report, audit)
+    packed = data["frames"]["input"]
+    packed["vectors"] = write_packed(3 * read_packed(packed["vectors"]))
+    loaded = read_report(written(tmp_path, data))
+    assert loaded.eps >= 0.5
+    assert not loaded.certified
+
+
+FLATTERING = {
+    "certified": True,
+    "eps": 0.0,
+    "eps_op": 0.0,
+    "eps_norm": 0.0,
+    "distances": {"vw": 0.0, "vu": 0.0, "uw": 0.0},
+    "bound": 1e300,
+    "output_eps": 0.0,
+    "gamma_prime_effective": 1e300,
+}
+
+
+@pytest.mark.parametrize("tamper", ["output_x1.5", "t0=1000"])
+def test_stored_derived_numbers_change_nothing(tmp_path, repaired, tamper):
+    # A tampered report reads and audits the same whether its stored numbers
+    # are those measured from its arrays or flattering ones.
+    report, audit = repaired
+    data = report_to_dict(report, audit)
+    if tamper == "output_x1.5":
+        data["frames"]["output"]["vectors"][0] = [1.5 * x for x in data["frames"]["output"]["vectors"][0]]
+    else:
+        t = read_packed(data["scaling"]["t"])
+        t[0] = 1000.0
+        data["scaling"]["t"] = write_packed(t)
+    honest = report_to_dict(read_report(written(tmp_path, data)))
+    assert honest["certified"] is False
+    flattering = copy.deepcopy(honest) | copy.deepcopy(FLATTERING)
+    flattering["scaling"].update(converged=True, residual_inf=0.0, stationarity_gap=0.0)
+    results = []
+    for stored in (honest, flattering):
+        loaded = read_report(written(tmp_path, stored))
+        assert not loaded.certified
+        results.append(encode_json(report_to_dict(loaded, audit_lemma_chain(loaded)), "report"))
+    assert results[0] == results[1]
+
+
+def test_audit_of_a_stored_report_measures_each_frame_once(tmp_path, repaired, monkeypatch):
+    report, audit = repaired
+    path = tmp_path / "report.json"
+    write_report(path, report, audit)
+    counts = Counter()
+    for module, name in (("framescale.repair", "frame_metrics"), ("framescale.serialize", "_isotropy_test")):
+        module = importlib.import_module(module)
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, real=real, name=name: counts.update([name]) or real(*args))
+    loaded = read_report(path)
+    report_to_dict(loaded, audit_lemma_chain(loaded))
+    assert counts == {"frame_metrics": 2, "_isotropy_test": 1}
 
 
 # Damage to a /3 report's base64 text, and to a /4 report's hex text,
