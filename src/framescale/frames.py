@@ -20,7 +20,7 @@ from .seeding import spawn_rng
 
 # Frames measuring below this are treated as exact ENPFs: double precision
 # leaves several orders of headroom below every certified tolerance.
-ENPF_TOL = 1e-12
+_ENPF_TOL = 1e-12
 
 # perturb_frame rescales its noise until the measured eps lands in
 # [eps_target / BAND_RATIO, eps_target].
@@ -87,7 +87,7 @@ class FrameMetrics:
     eps: float
 
 
-def frame_operator(frame: Frame) -> np.ndarray:
+def _frame_operator(frame: Frame) -> np.ndarray:
     """Return S = sum_i v_i v_i^T, a symmetric PSD d x d matrix."""
     vecs = frame.vectors
     S = vecs.T @ vecs
@@ -101,7 +101,7 @@ def frame_metrics(frame: Frame) -> FrameMetrics:
     eps_op >= 1; it is not an error. An overflow reports inf.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        S = frame_operator(frame)
+        S = _frame_operator(frame)
     eigs = np.linalg.eigvalsh(S) if np.isfinite(S).all() else np.array([np.inf])
     eps_op = float(max(1.0 - eigs[0], eigs[-1] - 1.0, 0.0))
     eps_norm = _eps_norm(frame)
@@ -161,7 +161,7 @@ def generate_enpf(d: int, n: int, seed: int) -> Frame:
     q = q * np.sign(np.diag(r))
     frame = Frame(vecs @ q.T)
     measured = frame_metrics(frame).eps
-    if measured > ENPF_TOL:
+    if measured > _ENPF_TOL:
         raise RuntimeError(f"generator self-check failed: eps={measured:.3e} for d={d}, n={n}")
     return frame
 
@@ -176,7 +176,7 @@ def perturb_frame(frame: Frame, eps_target: float, seed: int) -> Frame:
     if eps_target <= 0:
         raise ValueError("eps_target must be positive")
     base = frame_metrics(frame).eps
-    if base > ENPF_TOL:
+    if base > _ENPF_TOL:
         raise ValueError(f"input is not an ENPF up to tolerance: eps={base:.3e}")
     rng = spawn_rng(seed, 1)
     noise = rng.standard_normal(frame.vectors.shape)

@@ -106,7 +106,7 @@ _UNIT_ROUNDOFF = np.finfo(float).eps / 2
 _STACK_LOOP_MAX = 350
 
 
-def numerical_rank(vectors: np.ndarray) -> int:
+def _numerical_rank(vectors: np.ndarray) -> int:
     """Rank of the span of the given row vectors via singular values."""
     sigma = np.linalg.svd(np.atleast_2d(vectors), compute_uv=False)
     if sigma.size == 0 or sigma[0] == 0.0:
@@ -138,7 +138,7 @@ def basis_polytope_membership(frame: Frame) -> tuple[int, ...] | None:
         for i in range(start, n):
             chosen.append(i)
             total = csum + c
-            rank = numerical_rank(vecs[chosen])
+            rank = _numerical_rank(vecs[chosen])
             if total > rank + _VIOLATION_TOL:
                 found = tuple(chosen)
                 chosen.pop()

@@ -40,7 +40,6 @@ from .frames import (
     frame_metrics,
     renormalize,
 )
-from .majorization import MAJORIZATION_TOL, _rows_from_prefix, _upper_ones
 from .polytope import (
     SUBSET_CAP,
     _fragile_subsets,
@@ -64,6 +63,10 @@ _RETRY_CAP = 50
 # Absolute cushion for audited inequalities whose exact slack can be zero;
 # keeps machine-rounding noise from flipping a true inequality.
 _AUDIT_ATOL = 1e-12
+
+# Tolerance for the equal-totals check, scaled by the l1 mass of x because
+# entrywise squares of frame vectors span several orders of magnitude.
+MAJORIZATION_TOL = 1e-10
 
 
 def _eta_max(eps: float, d: int, n: int) -> float:
@@ -277,6 +280,29 @@ def reverify(stored: RepairReport) -> RepairReport:
     return stored
 
 
+@functools.lru_cache(maxsize=16)
+def _upper_ones(d: int) -> np.ndarray:
+    """The read-only d x d upper-triangular matrix of ones; x @ it prefix-sums x."""
+    tri = np.triu(np.ones((d, d)))
+    tri.setflags(write=False)
+    return tri
+
+
+def _rows_from_prefix(deficit, l1, axis: int = -1) -> np.ndarray:
+    """Majorization flags of paired sequences x and y, from the gap of their prefix sums.
+
+    ``deficit`` holds prefix_y - prefix_x along ``axis``, and ``l1`` holds
+    ||x||_1 of each sequence, shaped like deficit without ``axis``. x
+    majorizes y when no entry of the deficit exceeds the slack
+    ``MAJORIZATION_TOL * (1 + l1)`` and the totals agree within it, so that
+    the last entry lies within the slack on either side.
+    """
+    slack = MAJORIZATION_TOL * (1.0 + np.asarray(l1))
+    worst = deficit.max(axis=axis)
+    total = np.take(deficit, -1, axis=axis)
+    return (worst <= slack) & (-total <= slack)
+
+
 def audit_lemma_chain(report: RepairReport) -> AuditRecord:
     """Re-derive the distance bound's inequality chain on one instance.
 
@@ -303,16 +329,19 @@ def audit_lemma_chain(report: RepairReport) -> AuditRecord:
     (f) are the report's own measurements of its frames, never stored
     values, so the audit of a report loaded from disk is sound on its own.
 
-    The per-vector statements (a) and (b) are evaluated over all n vectors
-    at once, with the same per-vector slack and transport as ``majorizes``
+    Here y majorizes x when every prefix sum of y dominates that of x and
+    the totals agree, both within ``MAJORIZATION_TOL * (1 + ||y||_1)``, and
+    T(y, x) = sum_j j (x_j - y_j) is the transport distance. The per-vector
+    statements (a) and (b) are evaluated over all n vectors at once, with
+    the slack and transport of the tests' one-vector oracles ``majorizes``
     and ``transport_distance``. Vector i is column i of a (d, n) array, so
     no sum is a reduction along a short axis: every sum over one vector's
     coordinates or over the n vectors is a matrix-vector product (with
     ones, with S^2 or with the weights 1..d), the prefix sums of x and of y
     are one product each with the d x d triangle, and the per-vector
     scalings broadcast along the n-long axis. Check (a) hands the gap of
-    the prefix sums to ``majorization._rows_from_prefix`` along axis 0, the
-    one place that holds the majorization rule.
+    the prefix sums to ``_rows_from_prefix`` along axis 0, the one place
+    that holds the majorization rule.
 
     Failures are recorded in the returned checks, never raised: a
     singular A is audited like any other, and a u_i that A maps to zero

@@ -12,16 +12,15 @@ gauge-fixed to sum t_i = 0. The minimum exists exactly when d/n lies in
 the basis polytope of U; outside it the iterates escape along a blocking
 subset S with |S| c > dim span S, whose t_i run ahead of the rest, and a
 failing solve reads S off its last iterate in one O(n d^2) scan
-(``_blocking_prefix``). The public functions read c off the frame's
-shape; the private kernels take it as a scalar.
+(``_blocking_prefix``). ``solve_radial_isotropic`` reads c off the
+frame's shape; the private kernels take it as a scalar.
 
 Four kernels carry the module. ``_factor`` builds w = c e^t and M(t),
 with the overflow guard, and takes the Cholesky factor L of M(t).
-``_potential`` reads f off L, for the line search and
-``scaling_potential``, is +inf where ``_factor`` fails, and hands the
-factor on: the accepted trial point is the next iterate, factored once.
-``_whitened`` turns the factor into the rows y_i = sqrt(w_i) L^{-1} u_i for
-the solver, ``scaling_gradient`` and ``scaling_hessian``. ``_scaling_state``
+``_potential`` reads f off L for the line search, is +inf where
+``_factor`` fails, and hands the factor on: the accepted trial point is
+the next iterate, factored once. ``_whitened`` turns the factor into the
+rows y_i = sqrt(w_i) L^{-1} u_i for the solver. ``_scaling_state``
 takes the symmetric A = M(t)^{-1/2} from ``eigh`` and the rows U A^T (row
 i is A u_i), only where the solver may return the iterate. A failed M(t)
 has one wording: LinAlgError, also a ValueError, "weighted sum M(t)
@@ -33,8 +32,8 @@ Everything the solver needs comes from the whitened rows Y. Their Gram
 matrix G = Y Y^T, the same for L^{-1} as for any square root of M(t)^{-1},
 is the orthogonal projector onto the row space of the weighted vectors;
 the gradient is g_i = ||y_i||^2 - c and the Hessian is diag(G) - G o G,
-which ``scaling_hessian`` forms densely as a test oracle. The Hadamard
-square has rank at most r = d(d+1)/2: (G o G)_ij = K_i . K_j, where K_i
+which the tests form densely as an oracle. The Hadamard square has
+rank at most r = d(d+1)/2: (G o G)_ij = K_i . K_j, where K_i
 is the upper triangle of y_i y_i^T with off-diagonal entries scaled by
 sqrt(2). The Newton system is therefore a diagonal matrix plus a term of
 rank r + 1 (the extra column pins the gauge direction 1), and for n > r + 1
@@ -60,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frames import Frame, _row_sq_norms
-from .polytope import _VIOLATION_TOL, RANK_RTOL, numerical_rank
+from .polytope import _VIOLATION_TOL, RANK_RTOL, _numerical_rank
 
 DEFAULT_MAX_ITER = 200
 
@@ -124,15 +123,6 @@ class _WeightedSumError(np.linalg.LinAlgError, ValueError):
     """A failed M(t), overflowed or singular: a ValueError whatever base numpy gives LinAlgError."""
 
 
-def _as_t(frame: Frame, t) -> np.ndarray:
-    ta = np.asarray(t, dtype=float).ravel()
-    if ta.size != frame.n:
-        raise ValueError(f"t has length {ta.size}, expected {frame.n}")
-    if not np.all(np.isfinite(ta)):
-        raise ValueError("t must be finite")
-    return ta
-
-
 def _factor(vecs: np.ndarray, c: float, t: np.ndarray) -> tuple[np.ndarray, ...]:
     """w = c e^t, M(t) = sum_i w_i u_i u_i^T and its Cholesky factor L; raises the one wording."""
     with np.errstate(over="ignore", invalid="ignore"):
@@ -155,15 +145,6 @@ def _potential(vecs: np.ndarray, c: float, t: np.ndarray) -> tuple[float, tuple 
     return float(2.0 * np.log(np.diagonal(factor[2])).sum() - c * t.sum()), factor
 
 
-def scaling_potential(frame: Frame, t) -> float:
-    """Convex potential f(t) = log det M(t) - (d/n) sum_i t_i.
-
-    Returns +inf when the weighted sum M(t) overflows or is singular (or
-    numerically indefinite), which happens only off the feasible region.
-    """
-    return _potential(frame.vectors, frame.d / frame.n, _as_t(frame, t))[0]
-
-
 def _whitened(vecs: np.ndarray, factor: tuple[np.ndarray, ...]) -> np.ndarray:
     """Rows y_i = sqrt(w_i) L^{-1} u_i of the factor (w, M, L) of ``_factor``."""
     w, _, L = factor
@@ -177,24 +158,6 @@ def _scaling_state(vecs: np.ndarray, factor: tuple[np.ndarray, ...]) -> tuple[np
         raise _WeightedSumError("weighted sum M(t) is singular")
     A = (Q / np.sqrt(eigs)) @ Q.T
     return A, vecs @ A.T
-
-
-def scaling_gradient(frame: Frame, t) -> np.ndarray:
-    """Gradient g_i = (d/n) (e^{t_i} u_i^T M(t)^{-1} u_i - 1); sums to zero."""
-    c = frame.d / frame.n
-    return _row_sq_norms(_whitened(frame.vectors, _factor(frame.vectors, c, _as_t(frame, t)))) - c
-
-
-def scaling_hessian(frame: Frame, t) -> np.ndarray:
-    """Closed-form Hessian diag(diag G) - G o G of the potential; PSD with null vector 1.
-
-    G = Y Y^T, so G_ij = (d/n) e^{(t_i+t_j)/2} u_i^T M^{-1} u_j. This
-    dense n x n form is a test oracle; the solver works from the rows Y and
-    the rank-r factor K of G o G.
-    """
-    Y = _whitened(frame.vectors, _factor(frame.vectors, frame.d / frame.n, _as_t(frame, t)))
-    G = Y @ Y.T
-    return np.diag(np.diag(G)) - G * G
 
 
 def _isotropy_test(
@@ -283,7 +246,7 @@ def _blocking_prefix(vecs: np.ndarray, c: float, t: np.ndarray) -> tuple[int, ..
     prefix's span one Gram-Schmidt step at a time, orthogonalizing twice.
     It stops at the first prefix whose count times c exceeds its rank by
     more than ``_VIOLATION_TOL`` and returns it sorted, once
-    ``numerical_rank`` confirms the violation; otherwise it returns None.
+    ``_numerical_rank`` confirms the violation; otherwise it returns None.
     O(n d^2) time.
     """
     d = vecs.shape[1]
@@ -302,7 +265,7 @@ def _blocking_prefix(vecs: np.ndarray, c: float, t: np.ndarray) -> tuple[int, ..
         csum += c
         if csum > len(basis) + _VIOLATION_TOL:
             subset = np.sort(order[: k + 1])
-            if csum > numerical_rank(vecs[subset]) + _VIOLATION_TOL:
+            if csum > _numerical_rank(vecs[subset]) + _VIOLATION_TOL:
                 return tuple(int(j) for j in subset)
             return None
     return None

@@ -45,9 +45,10 @@ between tokens is part of no schema; inside a packed field it is damage.
 A report is malformed, and ``read_report`` raises a ValueError starting
 ``malformed report:``, when a packed field does not decode to its shape,
 ``scaling.t`` or ``scaling.A`` is not finite, ``delta`` or
-``delta_solver`` is not positive and finite, ``certified`` or
-``scaling.converged`` is not a JSON boolean, or a stored frame disagrees
-with the top-level ``d`` and ``n``.
+``delta_solver`` is not positive and finite, ``seed`` or
+``scaling.iterations`` is not a non-negative JSON integer, ``certified``
+or ``scaling.converged`` is not a JSON boolean, or a stored frame
+disagrees with the top-level ``d`` and ``n``.
 
 Every file the package writes goes through one writer, ``_write_file``:
 reports, frames, and the CLI's ``--output`` files. It overwrites an
@@ -269,6 +270,17 @@ def _require_flag(data: dict, key: str, field: str) -> None:
         raise ValueError(f"malformed report: {field} {value!r} is not a boolean")
 
 
+def _require_count(data: dict, key: str, field: str) -> int:
+    """The stored value, unless it is not a non-negative integer: true, -1 and 2.5 are malformed.
+
+    orjson reads an integer beyond 64 bits as a float, which is refused too.
+    """
+    value = data[key]
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(f"malformed report: {field} {value!r} is not a non-negative integer")
+    return value
+
+
 def _scaling_from_dict(data: dict, U: Frame, schema: str, delta_solver: float) -> ScalingSolution:
     """The stored t, A and iteration count, with the solver's convergence test measured on U."""
     d = int(data["d"])
@@ -282,8 +294,9 @@ def _scaling_from_dict(data: dict, U: Frame, schema: str, delta_solver: float) -
         if not np.isfinite(array).all():
             raise ValueError(f"malformed report: scaling.{name} holds a non-finite value")
     _require_flag(data, "converged", "scaling.converged")
+    iterations = _require_count(data, "iterations", "scaling.iterations")
     _, resid, gap, converged = _isotropy_test(_images(U, A), U.d / U.n, t, delta_solver)
-    return ScalingSolution(t, A, resid, int(data["iterations"]), converged, gap)
+    return ScalingSolution(t, A, resid, iterations, converged, gap)
 
 
 def audit_to_dict(audit: AuditRecord) -> dict:
@@ -378,9 +391,7 @@ def _report_from_dict(data: dict) -> RepairReport:
     if schema not in (REPORT_SCHEMA, _SCHEMA_V3, _SCHEMA_V2, _SCHEMA_V1):
         raise ValueError(f"unsupported report schema {schema!r}")
     frames = data["frames"]
-    seed = data["seed"]
-    if not isinstance(seed, int):  # orjson reads an integer beyond 64 bits as a float
-        raise ValueError(f"malformed report: seed {seed!r} is not a 64-bit integer")
+    seed = _require_count(data, "seed", "seed")
     for name in ("delta", "delta_solver"):
         if not 0.0 < float(data[name]) < math.inf:
             raise ValueError(f"malformed report: {name} {data[name]!r} is not positive and finite")

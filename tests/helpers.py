@@ -1,4 +1,19 @@
-"""Shared test oracles, kept independent of the code paths they check."""
+"""Shared test oracles, kept independent of the code paths they check.
+
+Some stand in for functions that only tests call, and wrap the private
+kernels that the package runs:
+
+- ``scaling_potential``, ``scaling_gradient`` and ``scaling_hessian``
+  evaluate f(t), its gradient and its dense Hessian at one t, through the
+  solver's ``scaling._factor``, ``_potential`` and ``_whitened``;
+- ``majorizes``, ``transport_distance`` and ``majorization_rows`` take the
+  majorization test and the transport distance one vector or one row at a
+  time, through the audit's ``repair._rows_from_prefix`` and
+  ``repair._upper_ones``; they are the reference for the audit's column
+  kernel;
+- ``isotropy_residual`` runs the solver's convergence test
+  ``scaling._isotropy_test`` on the rows ``scaling._images``.
+"""
 
 from __future__ import annotations
 
@@ -15,19 +30,17 @@ from pathlib import Path
 import numpy as np
 
 import framescale
-from framescale import (
-    Frame,
-    all_d_subsets_independent,
-    frame_metrics,
-    majorizes,
-    scaling_potential,
-    transport_distance,
-)
+from framescale import Frame, all_d_subsets_independent, frame_metrics
 from framescale.frames import _row_sq_norms
-from framescale.majorization import MAJORIZATION_TOL
-from framescale.polytope import RANK_RTOL, SUBSET_CAP, numerical_rank
-from framescale.repair import _AUDIT_ATOL, _RETRY_CAP
-from framescale.scaling import _images, _isotropy_test
+from framescale.polytope import RANK_RTOL, SUBSET_CAP, _numerical_rank
+from framescale.repair import (
+    _AUDIT_ATOL,
+    _RETRY_CAP,
+    MAJORIZATION_TOL,
+    _rows_from_prefix,
+    _upper_ones,
+)
+from framescale.scaling import _factor, _images, _isotropy_test, _potential, _whitened
 from framescale.seeding import spawn_rng
 
 
@@ -108,6 +121,42 @@ def isotropy_residual(frame: Frame, A) -> tuple[np.ndarray, float]:
     return J, resid
 
 
+def _as_t(frame: Frame, t) -> np.ndarray:
+    ta = np.asarray(t, dtype=float).ravel()
+    if ta.size != frame.n:
+        raise ValueError(f"t has length {ta.size}, expected {frame.n}")
+    if not np.all(np.isfinite(ta)):
+        raise ValueError("t must be finite")
+    return ta
+
+
+def scaling_potential(frame: Frame, t) -> float:
+    """Convex potential f(t) = log det M(t) - (d/n) sum_i t_i.
+
+    Returns +inf when the weighted sum M(t) overflows or is singular (or
+    numerically indefinite), which happens only off the feasible region.
+    """
+    return _potential(frame.vectors, frame.d / frame.n, _as_t(frame, t))[0]
+
+
+def scaling_gradient(frame: Frame, t) -> np.ndarray:
+    """Gradient g_i = (d/n) (e^{t_i} u_i^T M(t)^{-1} u_i - 1); sums to zero."""
+    c = frame.d / frame.n
+    return _row_sq_norms(_whitened(frame.vectors, _factor(frame.vectors, c, _as_t(frame, t)))) - c
+
+
+def scaling_hessian(frame: Frame, t) -> np.ndarray:
+    """Closed-form Hessian diag(diag G) - G o G of the potential; PSD with null vector 1.
+
+    G = Y Y^T, so G_ij = (d/n) e^{(t_i+t_j)/2} u_i^T M^{-1} u_j. This
+    dense n x n form is a test oracle; the solver works from the rows Y and
+    the rank-r factor K of G o G.
+    """
+    Y = _whitened(frame.vectors, _factor(frame.vectors, frame.d / frame.n, _as_t(frame, t)))
+    G = Y @ Y.T
+    return np.diag(np.diag(G)) - G * G
+
+
 def cofactor_det(M: np.ndarray) -> float:
     """Determinant by recursive cofactor expansion along the first row."""
     m = np.asarray(M, dtype=float)
@@ -181,6 +230,61 @@ def alternating_projections(frame: Frame, delta: float, max_iter: int = 1000) ->
         eigs, Q = np.linalg.eigh(W.T @ W)
         W = W @ ((Q / np.sqrt(eigs)) @ Q.T)
     raise AssertionError(f"alternating projections missed eps <= {delta} in {max_iter} steps")
+
+
+def _pair(x, y) -> tuple[np.ndarray, np.ndarray]:
+    xa = np.asarray(x, dtype=float).ravel()
+    ya = np.asarray(y, dtype=float).ravel()
+    if xa.shape != ya.shape:
+        raise ValueError(f"length mismatch: {xa.size} vs {ya.size}")
+    if xa.size < 1:
+        raise ValueError("sequences must have length >= 1")
+    return xa, ya
+
+
+def _prefix_sums(x: np.ndarray) -> np.ndarray:
+    """Prefix sums along the last axis; the d x d triangle only if it is no larger than x."""
+    d = x.shape[-1]
+    return x @ _upper_ones(d) if d * d <= x.size else np.cumsum(x, axis=-1)
+
+
+def majorization_rows(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise majorization flags and transport distances of paired rows.
+
+    ``x`` and ``y`` have equal shape (..., d); every quantity is taken
+    along the last axis. Row r of x majorizes row r of y when its prefix
+    sums dominate and the totals agree, both with the slack
+    ``MAJORIZATION_TOL * (1 + ||x_r||_1)``; the transport of row r is
+    T(x_r, y_r) = sum_j j (y_rj - x_rj). Returns the boolean flags and the
+    transports, each of shape (...).
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    l1 = np.abs(x) @ np.ones(x.shape[-1])
+    flags = _rows_from_prefix(_prefix_sums(y) - _prefix_sums(x), l1)
+    return flags, (y - x) @ np.arange(1.0, x.shape[-1] + 1.0)
+
+
+def majorizes(x, y) -> bool:
+    """True iff x majorizes y: prefix sums dominate and totals agree.
+
+    Both checks use the slack ``MAJORIZATION_TOL * (1 + ||x||_1)``.
+    """
+    flag, _ = majorization_rows(*_pair(x, y))
+    return bool(flag)
+
+
+def transport_distance(x, y) -> float:
+    """T(x, y) = sum_j j (y_j - x_j), evaluated on any pair.
+
+    When x majorizes y, T equals the prefix-sum Wasserstein distance
+    sum_j |prefix_x(j) - prefix_y(j)| and bounds the l1 gap by
+    ||x - y||_1 <= 2 T(x, y), with the factor 2 tight at x = (1, 0),
+    y = (0, 1). The formula is total; callers relying on its transport
+    interpretation must ensure x majorizes y themselves.
+    """
+    _, transport = majorization_rows(*_pair(x, y))
+    return float(transport)
 
 
 def random_majorizing_pair(rng: np.random.Generator, d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -354,7 +458,7 @@ def polytope_support(frame: Frame, direction) -> float:
         if rank == frame.d:
             break
         candidate = kept + [int(i)]
-        new_rank = numerical_rank(vecs[candidate])
+        new_rank = _numerical_rank(vecs[candidate])
         if new_rank > rank:
             kept = candidate
             rank = new_rank

@@ -106,12 +106,14 @@ def set_stored_t0(report_path, value: float) -> None:
 
 
 # "field=value" stores a run parameter that repair refuses, a d or n that
-# disagrees with the input frame, or a verdict that is not a JSON boolean.
+# disagrees with the input frame, a verdict that is not a JSON boolean, or
+# an iteration count that is not a non-negative integer.
 # A stored frame one vector short keeps its own header consistent.
 @pytest.mark.parametrize(
     "damage",
     ["not_an_object", "seed_beyond_64_bits", "nan_t",
-     "delta=-1", "delta=0", "delta_solver=-1e-10", "d=3", "n=13",
+     "seed=true", "seed=-1", "delta=-1", "delta=0", "delta_solver=-1e-10", "d=3", "n=13",
+     "scaling.iterations=true", "scaling.iterations=2.5",
      'certified="no"', "certified=1", "converged_not_bool",
      "output_short", "perturbed_short", "perturbed_wide"],
 )
@@ -123,7 +125,8 @@ def test_malformed_report_is_config_error(tmp_path, capsys, damage):
     frames = data["frames"]
     if "=" in damage:
         field, value = damage.split("=")
-        data[field] = json.loads(value)
+        owner = data["scaling"] if field.startswith("scaling.") else data
+        owner[field.removeprefix("scaling.")] = json.loads(value)
     elif damage == "seed_beyond_64_bits":
         data["seed"] = 2**64 + 1
     elif damage == "not_an_object":
@@ -449,7 +452,7 @@ def test_bench_writes_a_row_per_cell(tmp_path, capsys, fmt):
                  "--eps", "1e-2,1e-7", "--reps", "3"])
     rows = read_bench(out, fmt)
     assert len(rows) == 6
-    assert all(float(row["repair_s"]) > 0 for row in rows)
+    assert not any("repair_s" in row for row in rows)
     assert all(row["certified"] for row in rows[:3])
     assert all(row["certified"] or row["error"] for row in rows)
     assert code == (EXIT_OK if all(row["certified"] for row in rows) else EXIT_CERTIFICATION)
@@ -470,7 +473,7 @@ def test_bench_records_non_convergence_and_continues(tmp_path, monkeypatch):
     rows = read_bench(out, "csv")
     assert [row["d"] for row in rows] == ["2", "3"]
     assert all(row["error"] == "no convergence; blocking subset [0, 1]" for row in rows)
-    assert all(float(row["repair_s"]) >= 0 for row in rows)
+    assert not any("repair_s" in row for row in rows)
     assert not any(row["certified"] for row in rows)
 
 

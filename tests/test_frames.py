@@ -7,16 +7,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from framescale import (
-    ENPF_TOL,
     Frame,
     dist_sq,
     frame_metrics,
-    frame_operator,
     generate_enpf,
     perturb_frame,
     renormalize,
 )
-from framescale.frames import _row_sq_norms
+from framescale.frames import _ENPF_TOL, _frame_operator, _row_sq_norms
 
 from helpers import eps_op_bruteforce, mercedes_frame
 
@@ -62,14 +60,14 @@ class TestRowKernel:
 
 class TestFrameOperator:
     def test_orthonormal_basis(self):
-        np.testing.assert_allclose(frame_operator(Frame(np.eye(2))), np.eye(2))
+        np.testing.assert_allclose(_frame_operator(Frame(np.eye(2))), np.eye(2))
 
     def test_mercedes_is_tight(self):
-        np.testing.assert_allclose(frame_operator(mercedes_frame()), np.eye(2), atol=1e-15)
+        np.testing.assert_allclose(_frame_operator(mercedes_frame()), np.eye(2), atol=1e-15)
 
     def test_rank_one_sum(self):
         f = Frame(np.array([[1.0, 0.0], [1.0, 0.0]]))
-        np.testing.assert_allclose(frame_operator(f), np.diag([2.0, 0.0]))
+        np.testing.assert_allclose(_frame_operator(f), np.diag([2.0, 0.0]))
 
     def test_concatenation_linearity(self):
         rng = np.random.default_rng(0)
@@ -77,7 +75,7 @@ class TestFrameOperator:
         b = Frame(rng.standard_normal((6, 3)))
         both = Frame(np.vstack([a.vectors, b.vectors]))
         np.testing.assert_allclose(
-            frame_operator(both), frame_operator(a) + frame_operator(b), atol=1e-12
+            _frame_operator(both), _frame_operator(a) + _frame_operator(b), atol=1e-12
         )
 
 
@@ -121,7 +119,7 @@ class TestFrameMetrics:
         rng = np.random.default_rng(2)
         for _ in range(25):
             f = Frame(rng.standard_normal((d + 2, d)) * rng.uniform(0.3, 1.5))
-            expected = eps_op_bruteforce(frame_operator(f))
+            expected = eps_op_bruteforce(_frame_operator(f))
             assert frame_metrics(f).eps_op == pytest.approx(expected, abs=1e-9)
 
 
@@ -169,7 +167,7 @@ class TestGenerateEnpf:
         for d in range(1, 9):
             for n in range(d, 33):
                 frame = generate_enpf(d, n, seed=0)
-                assert frame_metrics(frame).eps <= ENPF_TOL, (d, n)
+                assert frame_metrics(frame).eps <= _ENPF_TOL, (d, n)
 
     def test_square_case_is_orthonormal_basis(self):
         f = generate_enpf(2, 2, seed=3)

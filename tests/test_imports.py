@@ -24,7 +24,6 @@ def test_module_imports(name):
 PUBLIC_API = [
     "AuditCheck",
     "AuditRecord",
-    "ENPF_TOL",
     "Frame",
     "FrameMetrics",
     "RepairReport",
@@ -35,20 +34,13 @@ PUBLIC_API = [
     "basis_polytope_membership",
     "dist_sq",
     "frame_metrics",
-    "frame_operator",
     "generate_enpf",
-    "majorizes",
-    "numerical_rank",
     "perturb_frame",
     "perturb_to_general_position",
     "renormalize",
     "repair",
     "reverify",
-    "scaling_gradient",
-    "scaling_hessian",
-    "scaling_potential",
     "solve_radial_isotropic",
-    "transport_distance",
 ]
 
 

@@ -6,10 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from framescale import majorizes, transport_distance
-from framescale.majorization import _prefix_sums, _rows_from_prefix, _upper_ones, majorization_rows
+from framescale.repair import _rows_from_prefix, _upper_ones
 
-from helpers import random_majorizing_pair, wasserstein_prefix
+from helpers import (
+    _prefix_sums,
+    majorization_rows,
+    majorizes,
+    random_majorizing_pair,
+    transport_distance,
+    wasserstein_prefix,
+)
 
 finite_seq = arrays(np.float64, st.integers(1, 8), elements=st.floats(-50, 50))
 
