@@ -1,9 +1,9 @@
 """Command-line interface.
 
-Subcommands: generate, analyze, repair, polytope, solve-rip, audit, bench.
-A frame file, and the table that bench writes, is CSV when its name ends
-in .csv and JSON otherwise; repair --format picks the format of the
-repaired frame that it writes beside the report.
+Subcommands: generate, analyze, repair, polytope, solve-rip, audit.
+A frame file is CSV when its name ends in .csv and JSON otherwise. repair
+writes the repaired frame beside its report as <report stem>.frame.csv
+when the input frame is CSV, and as <report stem>.frame.json otherwise.
 Exit codes: 0 success, 1 certification failure, 2 parse/config error,
 3 solver non-convergence. Errors are reported as JSON on stderr. Set
 FRAMESCALE_LOG=debug|info|... for verbosity.
@@ -12,21 +12,17 @@ FRAMESCALE_LOG=debug|info|... for verbosity.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import logging
 import math
 import os
 import re
 import sys
-from itertools import product
 from pathlib import Path
 
 from .frames import frame_metrics, generate_enpf, perturb_frame
 from .polytope import MAX_POLYTOPE_N, basis_polytope_membership
-from .repair import EPS_INPUT_MAX, audit_lemma_chain, repair
+from .repair import audit_lemma_chain, repair
 from .scaling import DEFAULT_MAX_ITER, ScalingConvergenceError, solve_radial_isotropic
-from .seeding import derive_seed
 from .serialize import (
     _load_json,
     _write_file,
@@ -101,7 +97,8 @@ def _cmd_repair(args: argparse.Namespace) -> int:
     report = repair(frame, args.delta, args.seed, max_iter=args.max_iter)
     audit = audit_lemma_chain(report)
     write_report(args.output, report, audit)
-    sibling = args.output.with_name(f"{args.output.stem}.frame.{args.format}")
+    ext = "csv" if str(args.input).endswith(".csv") else "json"
+    sibling = args.output.with_name(f"{args.output.stem}.frame.{ext}")
     write_frame(sibling, report.output_frame)
     log.info(
         "repair d=%d n=%d eps=%.3g: dist^2=%.3g bound=%.3g certified=%s",
@@ -157,71 +154,6 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    # Every cell is checked before the first repair, so a bad cell costs no work.
-    if args.reps < 1:
-        raise ValueError(f"--reps must be at least 1, got {args.reps}")
-    if not (args.d and args.n and args.eps):
-        raise ValueError("--d, --n and --eps must each list at least one value")
-    grid = [(d, _resolve_n(n_spec, d), eps_target)
-            for d, n_spec, eps_target in product(args.d, args.n, args.eps)]
-    for d, n, eps_target in grid:
-        if not 0 < d < n:
-            raise ValueError(f"bench cells need 0 < d < n, got d={d}, n={n}")
-        if not 0.0 < eps_target < EPS_INPUT_MAX:
-            raise ValueError(f"--eps targets must lie in (0, {EPS_INPUT_MAX}), got {eps_target}")
-    rows = []
-    failures = 0
-    for cell, (d, n, eps_target) in enumerate(grid):
-        for rep in range(args.reps):
-            seed = derive_seed(args.seed, 4, cell, rep)
-            frame = perturb_frame(generate_enpf(d, n, seed), eps_target, seed)
-            try:
-                report = repair(frame, args.delta, seed, max_iter=args.max_iter)
-                error = ""
-            except RuntimeError as exc:
-                # A cell that cannot be repaired (a ScalingConvergenceError
-                # included) becomes a failed row; the rest of the grid still runs.
-                log.warning("bench cell d=%d n=%d eps=%g seed=%d failed: %s",
-                            d, n, eps_target, seed, exc)
-                report, error = None, str(exc)
-            ok = report is not None
-            rows.append(
-                {
-                    "d": d,
-                    "n": n,
-                    "eps_target": eps_target,
-                    "eps": report.eps if ok else None,
-                    "delta": args.delta,
-                    "seed": seed,
-                    "dist_sq": report.dist_sq_vw if ok else None,
-                    "bound": report.bound if ok else None,
-                    "ratio": report.dist_sq_vw / report.bound if ok else None,
-                    "iterations": report.scaling.iterations if ok else None,
-                    "certified": ok and report.certified,
-                    "error": error,
-                }
-            )
-            failures += 0 if rows[-1]["certified"] else 1
-    if str(args.output).endswith(".csv"):
-        # csv quotes the error messages, which may hold commas, and writes None as "".
-        text = io.StringIO()
-        writer = csv.writer(text, lineterminator="\n")
-        writer.writerow(rows[0].keys())
-        writer.writerows(
-            [format(v, ".17g") if isinstance(v, float) else v for v in row.values()] for row in rows
-        )
-        data = text.getvalue().encode()
-    else:
-        data = encode_json(rows, "bench rows", indent=True)
-    _write_file(args.output, data)
-    log.info("bench wrote %d rows to %s (%d failures)", len(rows), args.output, failures)
-    if failures:
-        _error("certification", f"{failures} of {len(rows)} bench rows failed or were not certified")
-        return EXIT_CERTIFICATION
-    return EXIT_OK
-
-
 _COMMANDS = {
     "generate": _cmd_generate,
     "analyze": _cmd_analyze,
@@ -229,18 +161,7 @@ _COMMANDS = {
     "polytope": _cmd_polytope,
     "solve-rip": _cmd_solve_rip,
     "audit": _cmd_audit,
-    "bench": _cmd_bench,
 }
-
-
-def _comma_list(cast):
-    """An argparse ``type`` reading a comma-separated list, each entry cast."""
-
-    def parse(value: str) -> tuple:
-        return tuple(cast(part.strip()) for part in value.split(",") if part.strip())
-
-    parse.__name__ = f"comma-separated {cast.__name__} list"
-    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -275,10 +196,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     add("analyze", "measure frame nearness metrics", input=True, output=True)
 
-    p = add("repair", "repair a frame and write the certified report",
-            input=True, output_required=True, seed=True, delta=True, max_iter=True)
-    p.add_argument("--format", choices=("json", "csv"), default="json",
-                   help="format of the repaired frame written beside the report")
+    add("repair", "repair a frame and write the certified report, with the repaired frame "
+        "beside it as <report stem>.frame.csv or .frame.json, in the input frame's format",
+        input=True, output_required=True, seed=True, delta=True, max_iter=True)
 
     add("polytope", "exact basis polytope membership of uniform coefficients, "
         f"by subset enumeration (n <= {MAX_POLYTOPE_N})", input=True, output=True)
@@ -288,14 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     add("audit", "re-verify a stored repair report from its frames alone",
         input=True, output=True)
-
-    p = add("bench", "sweep a (d, n, eps) grid of repairs and tabulate their distance ratios, "
-            "untimed, as CSV when --output ends in .csv and as JSON otherwise",
-            output_required=True, seed=True, delta=True, max_iter=True)
-    p.add_argument("--d", type=_comma_list(int), default="2,4")
-    p.add_argument("--n", type=_comma_list(str), default="2d+1,3d")
-    p.add_argument("--eps", type=_comma_list(float), default="1e-2,1e-3")
-    p.add_argument("--reps", type=int, default=3)
 
     return parser
 

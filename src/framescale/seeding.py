@@ -19,8 +19,3 @@ def spawn_rng(seed: int, *path: int) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(p) for p in path))
     return np.random.Generator(np.random.Philox(ss))
 
-
-def derive_seed(seed: int, *path: int) -> int:
-    """Deterministic child seed for stream ``path`` under root ``seed``."""
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(p) for p in path))
-    return int(ss.generate_state(1, dtype=np.uint64)[0] % (2**63))

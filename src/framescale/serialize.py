@@ -5,7 +5,9 @@ and any other path is JSON. Frames carry an explicit (d, n) header in both
 formats and preserve vector order. Floats are written so that reading them
 back reproduces the exact double (JSON holds the shortest round-trip
 representation, CSV prints 17 significant digits); round-trips are
-bit-faithful.
+bit-faithful. A report's bytes reproduce only under the BLAS thread
+configuration that wrote it: OpenBLAS on 1 thread and on 2 can round the
+solver's and the audit's sums differently (CI pins OPENBLAS_NUM_THREADS=1).
 
 ``orjson`` is the JSON codec. It prints floats with Ryu's shortest
 round-trip algorithm and parses them back exactly, in under a tenth of a
@@ -45,8 +47,9 @@ between tokens is part of no schema; inside a packed field it is damage.
 A report is malformed, and ``read_report`` raises a ValueError starting
 ``malformed report:``, when a packed field does not decode to its shape,
 ``scaling.t`` or ``scaling.A`` is not finite, ``delta`` or
-``delta_solver`` is not positive and finite, ``seed`` or
-``scaling.iterations`` is not a non-negative JSON integer, ``certified``
+``delta_solver`` is not positive and finite, ``seed``,
+``scaling.iterations`` or a stored ``d`` or ``n`` (top-level, of a frame
+or of the scaling) is not a non-negative JSON integer, ``certified``
 or ``scaling.converged`` is not a JSON boolean, or a stored frame
 disagrees with the top-level ``d`` and ``n``.
 
@@ -163,10 +166,12 @@ def frame_to_dict(frame: Frame) -> dict:
 
 def frame_from_dict(data: dict) -> Frame:
     try:
-        d, n = int(data["d"]), int(data["n"])
+        d, n = data["d"], data["n"]
         vectors = np.array(data["vectors"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed frame object: {exc}") from exc
+    for key, value in (("d", d), ("n", n)):
+        _require_count(value, key, "frame object")
     frame = Frame(vectors)
     if frame.d != d or frame.n != n:
         raise ValueError(
@@ -180,8 +185,7 @@ def _packed_frame_to_dict(frame: Frame) -> dict:
 
 
 def _packed_frame_from_dict(data: dict, field: str, schema: str) -> Frame:
-    d, n = int(data["d"]), int(data["n"])
-    return Frame(_unpack(data["vectors"], (n, d), field, schema))
+    return Frame(_unpack(data["vectors"], (data["n"], data["d"]), field, schema))
 
 
 def write_frame(path: str | Path, frame: Frame) -> None:
@@ -270,20 +274,19 @@ def _require_flag(data: dict, key: str, field: str) -> None:
         raise ValueError(f"malformed report: {field} {value!r} is not a boolean")
 
 
-def _require_count(data: dict, key: str, field: str) -> int:
-    """The stored value, unless it is not a non-negative integer: true, -1 and 2.5 are malformed.
+def _require_count(value, field: str, what: str = "report") -> int:
+    """``value``, unless it is not a non-negative integer: true, -1, 2.5, 4.0 and "4" are malformed.
 
     orjson reads an integer beyond 64 bits as a float, which is refused too.
     """
-    value = data[key]
     if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ValueError(f"malformed report: {field} {value!r} is not a non-negative integer")
+        raise ValueError(f"malformed {what}: {field} {value!r} is not a non-negative integer")
     return value
 
 
 def _scaling_from_dict(data: dict, U: Frame, schema: str, delta_solver: float) -> ScalingSolution:
     """The stored t, A and iteration count, with the solver's convergence test measured on U."""
-    d = int(data["d"])
+    d = _require_count(data["d"], "scaling.d")
     if schema != _SCHEMA_V1:
         t = _unpack(data["t"], (U.n,), "scaling.t", schema)
         A = _unpack(data["A"], (d, d), "scaling.A", schema)
@@ -294,7 +297,7 @@ def _scaling_from_dict(data: dict, U: Frame, schema: str, delta_solver: float) -
         if not np.isfinite(array).all():
             raise ValueError(f"malformed report: scaling.{name} holds a non-finite value")
     _require_flag(data, "converged", "scaling.converged")
-    iterations = _require_count(data, "iterations", "scaling.iterations")
+    iterations = _require_count(data["iterations"], "scaling.iterations")
     _, resid, gap, converged = _isotropy_test(_images(U, A), U.d / U.n, t, delta_solver)
     return ScalingSolution(t, A, resid, iterations, converged, gap)
 
@@ -381,6 +384,8 @@ def report_from_dict(data: dict) -> RepairReport:
 
 
 def _frame_from_report(frames: dict, name: str, schema: str) -> Frame:
+    for key in ("d", "n"):
+        _require_count(frames[name][key], f"frames.{name}.{key}")
     if name == "output" or schema == _SCHEMA_V1:
         return frame_from_dict(frames[name])
     return _packed_frame_from_dict(frames[name], f"frames.{name}.vectors", schema)
@@ -391,13 +396,13 @@ def _report_from_dict(data: dict) -> RepairReport:
     if schema not in (REPORT_SCHEMA, _SCHEMA_V3, _SCHEMA_V2, _SCHEMA_V1):
         raise ValueError(f"unsupported report schema {schema!r}")
     frames = data["frames"]
-    seed = _require_count(data, "seed", "seed")
+    seed = _require_count(data["seed"], "seed")
     for name in ("delta", "delta_solver"):
         if not 0.0 < float(data[name]) < math.inf:
             raise ValueError(f"malformed report: {name} {data[name]!r} is not positive and finite")
     input_frame = _frame_from_report(frames, "input", schema)
     d, n = input_frame.d, input_frame.n
-    if (data["d"], data["n"]) != (d, n):
+    if (_require_count(data["d"], "d"), _require_count(data["n"], "n")) != (d, n):
         raise ValueError(f"malformed report: d={data['d']}, n={data['n']} disagree with the input")
     if schema == REPORT_SCHEMA and "perturbed" not in frames:
         try:

@@ -1,11 +1,9 @@
-import csv
 import json
 import warnings
 
 import numpy as np
 import pytest
 
-from framescale import ScalingConvergenceError, cli
 from framescale.cli import (
     EXIT_CERTIFICATION,
     EXIT_CONFIG,
@@ -28,20 +26,23 @@ def stderr_error(capsys) -> dict:
 
 
 def repaired_report(tmp_path, fmt: str):
-    ext = "csv" if fmt == "csv" else "json"
-    frame_path = tmp_path / f"frame.{ext}"
+    """A (4, 12) report repaired from a frame file ``frame.<fmt>``."""
+    frame_path = tmp_path / f"frame.{fmt}"
     report_path = tmp_path / "report.json"
     assert main(["generate", "--output", str(frame_path), "--seed", "3", "--d", "4",
                  "--n", "3d", "--eps", "1e-2"]) == EXIT_OK
     assert main(["repair", "--input", str(frame_path), "--output", str(report_path),
-                 "--seed", "3", "--format", fmt]) == EXIT_OK
+                 "--seed", "3"]) == EXIT_OK
     return report_path
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_generate_repair_audit_round_trip(tmp_path, fmt):
+    # The repaired frame beside the report takes the input frame's format.
     report_path = repaired_report(tmp_path, fmt)
     sibling = report_path.with_name(f"report.frame.{fmt}")
+    other = "json" if fmt == "csv" else "csv"
+    assert not report_path.with_name(f"report.frame.{other}").exists()
     np.testing.assert_array_equal(
         read_frame(sibling).vectors, read_report(report_path).output_frame.vectors
     )
@@ -106,13 +107,15 @@ def set_stored_t0(report_path, value: float) -> None:
 
 
 # "field=value" stores a run parameter that repair refuses, a d or n that
-# disagrees with the input frame, a verdict that is not a JSON boolean, or
-# an iteration count that is not a non-negative integer.
+# disagrees with the input frame or is not a JSON integer, a verdict that is
+# not a JSON boolean, or an iteration count that is not a non-negative integer.
+# int() would truncate 4.5 to the right d, and read "4" and 4.0 as 4.
 # A stored frame one vector short keeps its own header consistent.
 @pytest.mark.parametrize(
     "damage",
     ["not_an_object", "seed_beyond_64_bits", "nan_t",
      "seed=true", "seed=-1", "delta=-1", "delta=0", "delta_solver=-1e-10", "d=3", "n=13",
+     "d=4.0", "n=true", "scaling.d=4.5", 'frames.input.d="4"', "frames.output.n=12.0",
      "scaling.iterations=true", "scaling.iterations=2.5",
      'certified="no"', "certified=1", "converged_not_bool",
      "output_short", "perturbed_short", "perturbed_wide"],
@@ -125,8 +128,11 @@ def test_malformed_report_is_config_error(tmp_path, capsys, damage):
     frames = data["frames"]
     if "=" in damage:
         field, value = damage.split("=")
-        owner = data["scaling"] if field.startswith("scaling.") else data
-        owner[field.removeprefix("scaling.")] = json.loads(value)
+        *path, key = field.split(".")
+        owner = data
+        for part in path:
+            owner = owner[part]
+        owner[key] = json.loads(value)
     elif damage == "seed_beyond_64_bits":
         data["seed"] = 2**64 + 1
     elif damage == "not_an_object":
@@ -313,6 +319,19 @@ def test_malformed_frame_file_is_config_error(tmp_path, capsys, command):
     assert error["message"].startswith("malformed frame object: ")
 
 
+@pytest.mark.parametrize("header", [{"d": "2"}, {"d": 2.0}, {"n": 3.5}, {"n": True}],
+                         ids=["d_string", "d_float", "n_fraction", "n_boolean"])
+def test_frame_header_that_is_not_an_integer_is_config_error(tmp_path, capsys, header):
+    # int() would read "2" and 2.0 as 2, and truncate 3.5 to the right n.
+    path = tmp_path / "frame.json"
+    path.write_text(json.dumps({"d": 2, "n": 3, "vectors": [[1, 0], [0, 1], [1, 1]], **header}))
+    assert main(["analyze", "--input", str(path)]) == EXIT_CONFIG
+    error = stderr_error(capsys)
+    assert error["type"] == "config"
+    assert error["message"].startswith("malformed frame object: ")
+    assert "is not a non-negative integer" in error["message"]
+
+
 @pytest.mark.parametrize("vectors", [
     '[["1","0"],["0","1"]]',
     "[[true,false],[false,true]]",
@@ -342,6 +361,19 @@ def test_csv_cells_take_every_decimal_literal_form(tmp_path):
     path = tmp_path / "frame.csv"
     path.write_text("# frame d=2 n=3\n+1.5e-3, -.5\n1.,1E+1\n 0 ,-0\n")
     np.testing.assert_array_equal(read_frame(path).vectors, [[1.5e-3, -0.5], [1.0, 10.0], [0.0, -0.0]])
+
+
+def test_removed_command_and_option_are_config_errors(tmp_path, capsys):
+    # The file name picks the repaired frame's format, and the sweep lives in the tests.
+    frame_path, out = tmp_path / "f.json", tmp_path / "out.json"
+    assert main(["generate", "--output", str(frame_path), "--seed", "0", "--d", "2",
+                 "--n", "3", "--eps", "1e-2"]) == EXIT_OK
+    for args in (["bench", "--output", str(out), "--seed", "0"],
+                 ["repair", "--input", str(frame_path), "--output", str(out), "--seed", "0",
+                  "--format", "csv"]):
+        assert main(args) == EXIT_CONFIG
+        assert stderr_error(capsys)["type"] == "config"
+        assert not out.exists()
 
 
 def test_missing_input_is_config_error(tmp_path, capsys):
@@ -429,102 +461,24 @@ def test_negative_max_iter_is_config_error(tmp_path, capsys, command):
     assert not report_path.exists()
 
 
-def read_bench(path, fmt: str) -> list[dict]:
-    if fmt == "json":
-        text = path.read_text()
-        assert text.startswith("[\n  {\n")
-        rows = json.loads(text)
-        assert len({tuple(row) for row in rows}) == 1
-        return rows
-    with path.open(newline="") as handle:
-        header, *body = list(csv.reader(handle))
-    assert all(len(line) == len(header) for line in body)
-    return [dict(zip(header, line), certified=line[header.index("certified")] == "True")
-            for line in body]
-
-
-@pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_bench_writes_a_row_per_cell(tmp_path, capsys, fmt):
-    # Today the general-position gate rejects the eps = 1e-7 cells; whether
-    # or not it does, every cell gets a row and the exit code says so.
-    out = tmp_path / f"bench.{fmt}"
-    code = main(["bench", "--output", str(out), "--seed", "0", "--d", "4", "--n", "3d",
-                 "--eps", "1e-2,1e-7", "--reps", "3"])
-    rows = read_bench(out, fmt)
-    assert len(rows) == 6
-    assert not any("repair_s" in row for row in rows)
-    assert all(row["certified"] for row in rows[:3])
-    assert all(row["certified"] or row["error"] for row in rows)
-    assert code == (EXIT_OK if all(row["certified"] for row in rows) else EXIT_CERTIFICATION)
-
-
-def test_bench_records_non_convergence_and_continues(tmp_path, monkeypatch):
-    def diverging(frame, delta, seed, max_iter):
-        raise ScalingConvergenceError(
-            "no convergence; blocking subset [0, 1]",
-            t=np.zeros(frame.n), residual_inf=1.0, iterations=3, blocking_subset=(0, 1),
-        )
-
-    monkeypatch.setattr(cli, "repair", diverging)
-    out = tmp_path / "bench.csv"
-    code = main(["bench", "--output", str(out), "--seed", "0", "--d", "2,3", "--n", "2d",
-                 "--eps", "1e-2", "--reps", "1"])
-    assert code == EXIT_CERTIFICATION
-    rows = read_bench(out, "csv")
-    assert [row["d"] for row in rows] == ["2", "3"]
-    assert all(row["error"] == "no convergence; blocking subset [0, 1]" for row in rows)
-    assert not any("repair_s" in row for row in rows)
-    assert not any(row["certified"] for row in rows)
-
-
-@pytest.mark.parametrize("fmt", ["json", "csv"])
-@pytest.mark.parametrize(
-    "grid",
-    [["--reps", "0"], ["--reps", "-2"], ["--d", ""], ["--n", ""], ["--eps", ""]],
-    ids=["reps_0", "reps_-2", "no_d", "no_n", "no_eps"],
-)
-def test_bench_rejects_an_empty_grid(tmp_path, capsys, fmt, grid):
-    out = tmp_path / f"bench.{fmt}"
-    code = main(["bench", "--output", str(out), "--seed", "0", "--d", "2", "--n", "2d",
-                 "--eps", "1e-2", "--reps", "1", *grid])
-    assert code == EXIT_CONFIG
-    assert stderr_error(capsys)["type"] == "config"
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("fmt", ["json", "csv"])
-@pytest.mark.parametrize(
-    "grid",
-    [["--d", "2,4", "--n", "3"], ["--eps", "1e-2,0"], ["--eps", "0.9"], ["--eps", "1e-2,0.5"]],
-    ids=["n_not_above_d", "eps_zero", "eps_0.9", "eps_half"],
-)
-def test_bench_checks_the_whole_grid_before_repairing(tmp_path, capsys, monkeypatch, fmt, grid):
-    def no_repair(*args, **kwargs):
-        pytest.fail("bench repaired a cell before checking the whole grid")
-
-    monkeypatch.setattr(cli, "repair", no_repair)
-    out = tmp_path / f"bench.{fmt}"
-    code = main(["bench", "--output", str(out), "--seed", "0", "--d", "2", "--n", "2d",
-                 "--eps", "1e-2", "--reps", "1", *grid])
-    assert code == EXIT_CONFIG
-    assert stderr_error(capsys)["type"] == "config"
-    assert not out.exists()
-
-
 def test_outputs_are_overwritten_without_truncating_on_open(tmp_path, monkeypatch):
-    frame = write_csv_frame(tmp_path / "frame.csv", [[1, 0], [0, 1], [1, 1]])
-    outputs = [tmp_path / name for name in ("analyze.json", "bench.json", "bench.csv")]
+    # One JSON output and one CSV frame, both written over longer files.
+    frame = str(tmp_path / "frame.csv")
+    assert main(["generate", "--output", frame, "--seed", "0", "--d", "2", "--n", "3",
+                 "--eps", "1e-2"]) == EXIT_OK
+    outputs = [tmp_path / name for name in ("analyze.json", "report.frame.csv")]
     for path in outputs:
         path.write_bytes(b"x" * 100_000)
     calls = record_opens(monkeypatch)
     assert main(["analyze", "--input", frame, "--output", str(outputs[0])]) == EXIT_OK
-    for path in outputs[1:]:
-        assert main(["bench", "--output", str(path), "--seed", "0", "--d", "2", "--n", "2d",
-                     "--eps", "1e-2", "--reps", "1"]) == EXIT_OK
+    assert main(["repair", "--input", frame, "--output", str(tmp_path / "report.json"),
+                 "--seed", "0"]) == EXIT_OK
     assert sum(isinstance(c, int) for c in calls) >= len(outputs)
     assert truncating_opens(calls) == []
     assert json.loads(outputs[0].read_text())["n"] == 3
-    assert len(read_bench(outputs[1], "json")) == len(read_bench(outputs[2], "csv")) == 1
+    np.testing.assert_array_equal(
+        read_frame(outputs[1]).vectors, read_report(tmp_path / "report.json").output_frame.vectors
+    )
 
 
 def test_report_write_that_fails_partway_exits_2(tmp_path):

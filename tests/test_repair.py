@@ -280,6 +280,8 @@ class TestRepair:
                 assert audit_lemma_chain(report).passed
 
     def test_deterministic_reports(self):
+        # Within one BLAS thread configuration: OpenBLAS on 1 thread and on 2
+        # can round the last digits differently (CI pins OPENBLAS_NUM_THREADS=1).
         frame = perturbed_instance(3, 8, 1e-2, seed=4)
         a = repair(frame, 1e-9, seed=7)
         b = repair(frame, 1e-9, seed=7)

@@ -5,13 +5,15 @@ a failure names its (d, n, eps, seed) and reproduces at once. Seed s draws
 d in [2, 8] and n, and builds the input as
 perturb_frame(generate_enpf(d, n, s), eps, s). Every in-range input must
 certify and pass the audit; planted frames, far outside the range, must be
-refused up front.
+refused up front. The hard instances at the end are literal inputs, the
+worst that a search for a large dist^2/bound found.
 """
 
 import numpy as np
 import pytest
 
 from framescale import (
+    Frame,
     audit_lemma_chain,
     dist_sq,
     frame_metrics,
@@ -20,7 +22,7 @@ from framescale import (
     repair,
 )
 
-from helpers import planted_frame
+from helpers import alternating_projections, planted_frame
 
 DELTA = 1e-9
 SEEDS = range(20)
@@ -64,3 +66,67 @@ def test_planted_frames_are_refused():
         frame, _ = planted_frame(rng, d, n, int(rng.integers(1, d)))
         with pytest.raises(ValueError, match=r"is not below 0\.5$"):
             repair(frame, DELTA, seed)
+
+
+# (d, n, the steps alternating projections needs to reach DELTA, the input V).
+HARD_INPUTS = [
+    (2, 3, 1000, [
+        [0.7373550856365856, -0.5064194171296564],
+        [-0.4453848576263079, -0.6667797331726778],
+        [0.4153977198917772, 0.6203866869516166],
+    ]),
+    (3, 4, 1000, [
+        [0.10957456181035813, 0.6168797336009144, -0.6592189787348152],
+        [-0.5249380165305811, -0.4831114223679516, -0.5847115690558785],
+        [0.6641338009683515, -0.3436584802211815, -0.18556878602292048],
+        [0.658573364297744, -0.3474195320968113, -0.19076645851463775],
+    ]),
+    (3, 6, 5000, [
+        [0.14847902370093763, -0.09615228019704526, 0.6072837102416808],
+        [0.15479858019475282, -0.10197315488406747, 0.6208011915840691],
+        [-0.31636325824980827, 0.4468757072402529, 0.4770983759602917],
+        [0.3683365865500465, 0.6812354142578524, 0.08214978668026576],
+        [0.7137659112310167, -0.029162664621006782, -0.2945910709748435],
+        [0.43167419714737143, -0.47266779730495256, 0.31527296345203687],
+    ]),
+    (4, 8, 2000, [
+        [-0.1530657065483556, 0.5346231546086141, 0.1539261144320698, 0.041340884625002634],
+        [0.1422866387750383, 0.46621576241662616, 0.34350142024639874, -0.1872200336805904],
+        [-0.018386762091727515, -0.08853458353866153, -0.3283784646442842, -0.686460823496591],
+        [-0.21387477893472062, -0.25224838548081563, -0.4496644597556543, -0.21165240047867126],
+        [0.4769130044307872, 0.20160606031624162, -0.4885800242266399, 0.35060994391285843],
+        [0.23653507050246908, 0.19125645192608504, 0.46378812495270777, 0.2780691550758019],
+        [0.47756468802763113, -0.4681764064846862, 0.26209260105347837, 0.044670258149335285],
+        [-0.2635581360310587, -0.4543725209904928, -0.05186490585437998, 0.6408533936018702],
+    ]),
+]
+
+
+@pytest.mark.parametrize("d, n, ap_steps, vectors", HARD_INPUTS,
+                         ids=[f"{d}x{n}" for d, n, _, _ in HARD_INPUTS])
+def test_hard_instance_certifies_at_a_percent_of_the_bound(d, n, ap_steps, vectors):
+    """An input that a search pushed to dist^2 > 1e-2 * bound still certifies.
+
+    Random near-ENPFs repair at about 1e-4 of the bound 20 eps d^2, which
+    says nothing of its constant. These inputs are the worst that a
+    hill-climb found. For each shape it started from
+    perturb_frame(generate_enpf(d, n, r), 0.3, r) for r = 3, 4, 5, 6 and took
+    600 steps, each adding step * N(0, 1) to every entry of V, with step 0.1
+    multiplied by 0.7 every 50 steps. A step was kept when repair(V, DELTA, 0)
+    certified, passed the audit, had eps < 0.49 and raised dist^2/bound.
+    The best input of the four starts is kept. The search reached
+    0.022 at (2, 3), 0.016 at (3, 4), 0.018 at (3, 6) and 0.011 at (4, 8).
+
+    Alternating projections, the yardstick, must land no closer than repair's
+    output by more than 10%. At (3, 6) and (4, 8) it does not reach DELTA in
+    its default 1000 steps, so it gets the steps it needs.
+    """
+    frame = Frame(np.array(vectors))
+    report = repair(frame, DELTA, 0)
+    assert (report.d, report.n) == (d, n)
+    assert report.eps < 0.49
+    assert report.certified
+    assert audit_lemma_chain(report).passed
+    assert report.dist_sq_vw > 1e-2 * report.bound
+    yardstick = alternating_projections(frame, DELTA, max_iter=ap_steps)
+    assert report.dist_sq_vw <= 1.1 * dist_sq(frame, yardstick)
